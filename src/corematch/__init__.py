@@ -21,9 +21,11 @@ from .core import (
     is_competitive_equilibrium,
     is_core_allocation,
     is_in_worker_core,
+    market_core_system,
     max_competitive_salaries,
     max_valid_decrease,
     min_competitive_salaries,
+    salary_bounds,
 )
 from .errors import (
     CorematchError,

@@ -16,11 +16,10 @@ from fractions import Fraction
 from . import __version__
 from .core import (
     Allocation,
-    core_constraints,
     firm_payoffs,
     is_in_worker_core,
-    max_competitive_salaries,
-    min_competitive_salaries,
+    market_core_system,
+    salary_bounds,
 )
 from .errors import CorematchError
 from .game import build_game
@@ -65,6 +64,8 @@ def parse_market(path: str) -> ParsedMarket:
             )
     except OSError as exc:
         raise CorematchError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CorematchError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise CorematchError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: "
@@ -104,7 +105,16 @@ def _require(path, data, key):
     return data[key]
 
 
+def _parse_ids(path, data, key):
+    ids = _require(path, data, key)
+    if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+        raise CorematchError(f"{path}: '{key}' must be a list of strings")
+    return tuple(ids)
+
+
 def _parse_capacitated_side(path, entries, what):
+    if not isinstance(entries, list):
+        raise CorematchError(f"{path}: the {what}s must be given as a list")
     ids = []
     caps = []
     for k, entry in enumerate(entries):
@@ -112,9 +122,12 @@ def _parse_capacitated_side(path, entries, what):
             raise CorematchError(
                 f"{path}: {what} {k} must be an object with 'id' and 'capacity'"
             )
-        ids.append(str(entry["id"]))
+        if not isinstance(entry["id"], str):
+            raise CorematchError(f"{path}: {what} {k} id must be a string")
+        ids.append(entry["id"])
         cap = entry["capacity"]
-        if not isinstance(cap, int) or cap < 1:
+        # bool is a subclass of int: "capacity": true is not a capacity of 1
+        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
             raise CorematchError(
                 f"{path}: {what} {entry['id']!r} capacity must be a positive integer"
             )
@@ -126,7 +139,7 @@ def _parse_job_market(path, data) -> Market:
     firm_ids, caps = _parse_capacitated_side(
         path, _require(path, data, "firms"), "firm"
     )
-    workers = tuple(str(w) for w in _require(path, data, "workers"))
+    workers = _parse_ids(path, data, "workers")
     if "surplus" in data:
         matrix = _parse_matrix(path, data, "surplus", len(firm_ids), len(workers))
         return Market(firm_ids, caps, workers, matrix)
@@ -137,13 +150,16 @@ def _parse_job_market(path, data) -> Market:
             raise CorematchError(
                 f"{path}: 'reservations' must list one value per worker"
             )
-        t = tuple(parse_rational(v) for v in reservations)
+        try:
+            t = tuple(parse_rational(v) for v in reservations)
+        except ValueError as exc:
+            raise CorematchError(f"{path}: 'reservations': {exc}") from exc
         return surplus_matrix(RawMarket(firm_ids, caps, workers, h, t))
     raise CorematchError(f"{path}: provide either 'surplus' or 'hire_values'")
 
 
 def _parse_buyer_market(path, data) -> BuyerMarket:
-    buyers = tuple(str(b) for b in _require(path, data, "buyers"))
+    buyers = _parse_ids(path, data, "buyers")
     seller_ids, caps = _parse_capacitated_side(
         path, _require(path, data, "sellers"), "seller"
     )
@@ -173,6 +189,17 @@ def _parse_allocation(text: str, n_firms: int, n_workers: int) -> Allocation:
     )
 
 
+def _digits(text: str) -> int:
+    """argparse type of --decimal: a non-negative digit count."""
+    try:
+        digits = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if digits < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {digits}")
+    return digits
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="corematch",
@@ -181,14 +208,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument(
         "--decimal",
-        type=int,
+        type=_digits,
         default=None,
         metavar="DIGITS",
         help="render numbers with this many decimal digits instead of p/q",
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--decimal", type=int, default=argparse.SUPPRESS, metavar="DIGITS",
+        "--decimal", type=_digits, default=argparse.SUPPRESS, metavar="DIGITS",
         help=argparse.SUPPRESS,
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -326,9 +353,8 @@ def _cmd_match(m: Market, fmt) -> list[str]:
 
 
 def _job_system(m: Market):
-    bm = balance(m)
-    mu = optimal_matching(bm.market).matching
-    return bm, mu, core_constraints(bm, mu)
+    system = market_core_system(m)
+    return system.bm, system.matching, system
 
 
 def _cmd_core_check(m: Market, text: str, fmt) -> list[str]:
@@ -343,8 +369,9 @@ def _cmd_core_check(m: Market, text: str, fmt) -> list[str]:
 
 
 def _cmd_salaries(m: Market, want_min: bool, fmt) -> list[str]:
-    y = min_competitive_salaries(m) if want_min else max_competitive_salaries(m)
-    bm, mu, _ = _job_system(m)
+    bm, mu, system = _job_system(m)
+    lowest, highest = salary_bounds(system)
+    y = bm.strip_worker_vector(lowest if want_min else highest)
     alloc = firm_payoffs(bm, mu, y)
     return [
         _alloc_line("salaries", m.worker_ids, y, fmt),

@@ -6,6 +6,13 @@ constraints, all of the form y[head] - y[tail] >= rhs over the node set
 workers + {0}, where node 0 carries the fixed salary 0. Firm payoffs are then
 determined, so membership, extremality, and the salary bounds can all be
 decided in this space.
+
+The minimum and maximum competitive salary vectors are the least and the
+greatest solution of that system, read off longest paths to and from node 0
+by one Bellman-Ford pass each way (``salary_bounds``). The paper's own
+formulas for them, clone values for the minimum and marginal contributions
+for the maximum, cost a flow solve per worker; the test suite keeps them as
+independent oracles.
 """
 
 from __future__ import annotations
@@ -16,15 +23,15 @@ from typing import NamedTuple, Sequence
 
 from .errors import CorematchError, NotBalancedError, NotOptimalError
 from .game import GameTable
-from .market import BalancedMarket, Market, RawMarket, surplus_matrix
+from .market import BalancedMarket, Market, RawMarket, balance, surplus_matrix
 from .matching import (
     Matching,
     all_optimal_matchings,
     coalition_value,
     matching_arrays,
     optimal_matching,
-    value_with_column_duplicated,
 )
+from .rationals import common_denominator
 
 ZERO = Fraction(0)
 
@@ -246,24 +253,68 @@ def is_competitive_equilibrium(
     return True
 
 
+def market_core_system(m: Market) -> CoreConstraintSystem:
+    """The worker-space core system of ``m``: balanced, at its optimal matching."""
+    bm = balance(m)
+    return core_constraints(bm, optimal_matching(bm.market).matching)
+
+
+def salary_bounds(
+    system: CoreConstraintSystem,
+) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """The least and the greatest solution of a difference-constraint system,
+    as (lowest, highest) salary vectors of its balanced market.
+
+    The least solution is the longest-path distance from node 0 along arcs
+    tail -> head of weight rhs; the greatest is minus the longest-path
+    distance from node 0 along the reversed arcs. Both run Bellman-Ford over
+    integers scaled by the common denominator of the right-hand sides. At an
+    optimal matching the core is never empty, so a positive cycle raises.
+    """
+    scale = common_denominator(c.rhs for c in system.constraints)
+    arcs = [(c.tail, c.head, int(c.rhs * scale)) for c in system.constraints]
+    n_nodes = system.n_workers + 1
+    lowest = _longest_paths(n_nodes, arcs)
+    highest = _longest_paths(n_nodes, [(head, tail, w) for tail, head, w in arcs])
+    return (
+        tuple(Fraction(d, scale) for d in lowest[1:]),
+        tuple(Fraction(-d, scale) for d in highest[1:]),
+    )
+
+
+def _longest_paths(n_nodes: int, arcs: list[tuple[int, int, int]]) -> list[int]:
+    """Longest-path distances from node 0 by Bellman-Ford, at most n_nodes
+    passes: a change in the last pass can only come from a positive cycle."""
+    dist: list[int | None] = [None] * n_nodes
+    dist[0] = 0
+    for _ in range(n_nodes):
+        changed = False
+        for tail, head, w in arcs:
+            d = dist[tail]
+            if d is not None and (dist[head] is None or d + w > dist[head]):
+                dist[head] = d + w
+                changed = True
+        if not changed:
+            break
+    else:
+        raise CorematchError("the constraint system has no solution (positive cycle)")
+    if None in dist:
+        raise CorematchError("the constraint system leaves a salary unbounded")
+    return dist
+
+
 def max_competitive_salaries(m: Market) -> tuple[Fraction, ...]:
-    """The worker-optimal salary vector: each worker's marginal contribution
-    to the grand coalition."""
-    total = coalition_value(m, m.firm_ids, m.worker_ids)
-    out = []
-    for w in m.worker_ids:
-        others = tuple(x for x in m.worker_ids if x != w)
-        out.append(total - coalition_value(m, m.firm_ids, others))
-    return tuple(out)
+    """The worker-optimal salary vector: the greatest solution of the core
+    system (the paper's marginal contributions, kept as a test oracle)."""
+    system = market_core_system(m)
+    return system.bm.strip_worker_vector(salary_bounds(system)[1])
 
 
 def min_competitive_salaries(m: Market) -> tuple[Fraction, ...]:
-    """The firm-optimal salary vector: the value added by a clone of each
-    worker when the clone may not join the same firm as the original."""
-    total = coalition_value(m, m.firm_ids, m.worker_ids)
-    return tuple(
-        value_with_column_duplicated(m, w) - total for w in m.worker_ids
-    )
+    """The firm-optimal salary vector: the least solution of the core system
+    (the paper's clone values, kept as a test oracle)."""
+    system = market_core_system(m)
+    return system.bm.strip_worker_vector(salary_bounds(system)[0])
 
 
 @dataclass(frozen=True)
@@ -319,14 +370,12 @@ def max_valid_decrease(m: Market, firm_id: str) -> Fraction:
     """The largest valid constant decrease for a firm: the least surplus
     margin a[i0][j] - min_salary_j over its optimally matched workers."""
     i0 = m.firm_index(firm_id)
-    mu = optimal_matching(m).matching
-    matched = mu.workers_of(firm_id)
+    system = market_core_system(m)
+    # original workers come first in the balanced market; dummies follow
+    matched = [j for j in range(m.n_workers) if system.firm_of[j] == i0]
     if not matched:
         raise CorematchError(
             f"firm {firm_id!r} hires nobody under the optimal matching"
         )
-    lower = min_competitive_salaries(m)
-    return min(
-        m.matrix[i0][m.worker_index(w)] - lower[m.worker_index(w)]
-        for w in matched
-    )
+    lower, _ = salary_bounds(system)
+    return min(m.matrix[i0][j] - lower[j] for j in matched)

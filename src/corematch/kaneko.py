@@ -113,12 +113,19 @@ def ce_prices(
     bm = system.bm
     if len(x) == bm.n_original_workers:
         x = bm.extend_worker_vector(x)
+    return _prices(system, x)
+
+
+def _prices(
+    system: CoreConstraintSystem, x: Sequence[Fraction]
+) -> tuple[Fraction, ...]:
+    """Prices of a balanced-space payoff vector in the CE system ``system``."""
     if not system.contains(x):
         raise NotInCoreError(f"{tuple(x)} is not a CE payoff vector")
-    m = bm.market
+    m = system.bm.market
     _, buyers_of = matching_arrays(m, system.matching)
     prices = []
-    for j in range(b.balanced().n_original_firms):
+    for j in range(system.bm.n_original_firms):
         block = buyers_of[j]
         values = {m.matrix[j][i] - x[i] for i in block}
         if len(values) != 1:
@@ -158,7 +165,7 @@ def ce_vertices(b: BuyerMarket, *, limit: int = 6) -> tuple[CEVertex, ...]:
     out = []
     for vec in sorted(vertices):
         stripped = bm.strip_worker_vector(vec)
-        out.append(CEVertex(stripped, ce_prices(b, vec)))
+        out.append(CEVertex(stripped, _prices(system, vec)))
     return tuple(out)
 
 

@@ -181,17 +181,19 @@ def _solve(
     *,
     forbid: frozenset[tuple[int, int]] = frozenset(),
     volume: int | None = None,
+    certify: bool = False,
 ):
     """Min-cost-flow core. With ``volume`` set, routes exactly that many units
     (None if infeasible); otherwise maximizes total value. Returns
-    (value, index pairs, certified).
+    (value, index pairs, certified). The O(V*E) negative-cycle certificate is
+    computed only with ``certify`` set; otherwise ``certified`` is False.
     """
     m = len(caps)
     n = len(matrix[0]) if matrix else 0
     if m == 0 or n == 0:
         if volume:
             return None
-        return ZERO, [], True
+        return ZERO, [], certify
     net, pair_edges = _build_flow(matrix, caps, forbid)
     sink = m + n + 1
     routed = 0
@@ -210,7 +212,7 @@ def _solve(
         value -= dist
         routed += 1
     pairs = [(i, j) for (i, j), e in pair_edges.items() if net.cap[e] == 0]
-    certified = not net.has_negative_cycle()
+    certified = certify and not net.has_negative_cycle()
     return value, sorted(pairs), certified
 
 
@@ -232,7 +234,7 @@ def optimal_matching(m: Market) -> MatchingResult:
     smallest pair set under input index order is returned.
     """
     volume = min(m.total_capacity, m.n_workers)
-    solved = _solve(m.matrix, m.capacities, volume=volume)
+    solved = _solve(m.matrix, m.capacities, volume=volume, certify=True)
     value, _, certified = solved
     pairs = _lex_smallest_pairs(m, value, volume)
     matching = Matching(
@@ -354,7 +356,12 @@ def coalition_value(m: Market, firms: Iterable[str], workers: Iterable[str]) -> 
     return _coalition_value_masks(m, fmask, wmask)
 
 
-@lru_cache(maxsize=None)
+# Keyed on whole markets, so unbounded it would keep every market of a
+# long-running process alive; repeated queries on one market still hit.
+COALITION_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=COALITION_CACHE_SIZE)
 def _coalition_value_masks(m: Market, fmask: int, wmask: int) -> Fraction:
     rows = [i for i in range(m.n_firms) if fmask >> i & 1]
     cols = [j for j in range(m.n_workers) if wmask >> j & 1]
@@ -363,37 +370,6 @@ def _coalition_value_masks(m: Market, fmask: int, wmask: int) -> Fraction:
     matrix = [[m.matrix[i][j] for j in cols] for i in rows]
     caps = [m.capacities[i] for i in rows]
     return _market_value(matrix, caps)
-
-
-def value_with_column_duplicated(m: Market, worker_id: str) -> Fraction:
-    """Optimal value after duplicating one worker's surplus column, subject to
-    the two copies never working for the same firm.
-
-    The copies are handled by case analysis on where they end up (at most one
-    per firm), each case solved as an ordinary reduced market.
-    """
-    j = m.worker_index(worker_id)
-    keep = [k for k in range(m.n_workers) if k != j]
-    sub = [[m.matrix[i][k] for k in keep] for i in range(m.n_firms)]
-    col = [m.matrix[i][j] for i in range(m.n_firms)]
-
-    def reduced(caps: list[int]) -> Fraction:
-        if all(c == 0 for c in caps) or not keep:
-            return ZERO
-        return _market_value(sub, caps)
-
-    best = reduced(list(m.capacities))
-    for i1 in range(m.n_firms):
-        caps = list(m.capacities)
-        caps[i1] -= 1
-        best = max(best, col[i1] + reduced(caps))
-        for i2 in range(i1 + 1, m.n_firms):
-            if caps[i2] == 0:
-                continue
-            caps2 = list(caps)
-            caps2[i2] -= 1
-            best = max(best, col[i1] + col[i2] + reduced(caps2))
-    return best
 
 
 def enumerate_all_matchings(m: Market, limit: int = 8):

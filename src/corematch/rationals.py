@@ -40,7 +40,8 @@ def parse_rational(value: object) -> Fraction:
                 raise ValueError(f"not a rational number: {value!r}") from exc
         try:
             return Fraction(Decimal(text))
-        except InvalidOperation as exc:
+        except (InvalidOperation, ValueError, OverflowError) as exc:
+            # Decimal accepts "NaN" and "Infinity", which have no ratio
             raise ValueError(f"not a rational number: {value!r}") from exc
     raise ValueError(f"not a rational number: {value!r}")
 

@@ -19,8 +19,8 @@ from .core import (
     core_constraints,
     core_violation,
     firm_payoffs,
-    max_competitive_salaries,
-    min_competitive_salaries,
+    market_core_system,
+    salary_bounds,
 )
 from .errors import (
     CorematchError,
@@ -340,10 +340,10 @@ def tau_value(g: GameTable) -> Allocation:
 
 def fair_division(m: Market) -> Allocation:
     """Midpoint of the firm-optimal and worker-optimal core allocations."""
-    bm = balance(m)
-    mu = optimal_matching(bm.market).matching
-    at_min = firm_payoffs(bm, mu, min_competitive_salaries(m))
-    at_max = firm_payoffs(bm, mu, max_competitive_salaries(m))
+    system = market_core_system(m)
+    lowest, highest = salary_bounds(system)
+    at_min = firm_payoffs(system.bm, system.matching, lowest)
+    at_max = firm_payoffs(system.bm, system.matching, highest)
     half = Fraction(1, 2)
     return Allocation(
         tuple((a + b) * half for a, b in zip(at_min.firm_payoffs, at_max.firm_payoffs)),

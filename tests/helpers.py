@@ -3,7 +3,9 @@
 from fractions import Fraction as F
 from random import Random
 
-from corematch import Market
+from hypothesis import strategies as st
+
+from corematch import Market, coalition_value
 from corematch.matching import enumerate_all_matchings
 
 ZERO = F(0)
@@ -90,4 +92,85 @@ def random_market(rng: Random, max_workers=5) -> Market:
         caps,
         tuple(f"w{j}" for j in range(1, n + 1)),
         matrix,
+    )
+
+
+@st.composite
+def markets(draw, max_firms=3, max_workers=5):
+    """Hypothesis markets: balanced, with spare seats or with too few seats."""
+    n = draw(st.integers(1, max_workers))
+    caps = draw(st.lists(st.integers(1, 3), min_size=1, max_size=max_firms))
+    value = st.builds(F, st.integers(0, 8), st.sampled_from((1, 2, 3)))
+    matrix = draw(
+        st.lists(
+            st.lists(value, min_size=n, max_size=n),
+            min_size=len(caps),
+            max_size=len(caps),
+        )
+    )
+    return Market(
+        tuple(f"f{i}" for i in range(1, len(caps) + 1)),
+        tuple(caps),
+        tuple(f"w{j}" for j in range(1, n + 1)),
+        tuple(tuple(row) for row in matrix),
+    )
+
+
+# The paper's characterizations of the salary bounds. Production computes
+# both bounds as the least and greatest solution of the core difference
+# system; these flow-solve formulas are the independent oracles.
+
+
+def _reduced_value(m: Market, caps, cols) -> F:
+    """Optimal value of ``m`` on the columns ``cols`` with capacities ``caps``."""
+    rows = [i for i, c in enumerate(caps) if c > 0]
+    if not rows or not cols:
+        return ZERO
+    sub = Market(
+        tuple(m.firm_ids[i] for i in rows),
+        tuple(caps[i] for i in rows),
+        tuple(m.worker_ids[k] for k in cols),
+        tuple(tuple(m.matrix[i][k] for k in cols) for i in rows),
+    )
+    return coalition_value(sub, sub.firm_ids, sub.worker_ids)
+
+
+def value_with_column_duplicated(m: Market, worker_id: str) -> F:
+    """Optimal value after duplicating one worker's surplus column, subject to
+    the two copies never working for the same firm.
+
+    The copies are handled by case analysis on where they end up (at most one
+    per firm), each case solved as an ordinary reduced market.
+    """
+    j = m.worker_index(worker_id)
+    keep = [k for k in range(m.n_workers) if k != j]
+    col = [m.matrix[i][j] for i in range(m.n_firms)]
+    best = _reduced_value(m, list(m.capacities), keep)
+    for i1 in range(m.n_firms):
+        caps = list(m.capacities)
+        caps[i1] -= 1
+        best = max(best, col[i1] + _reduced_value(m, caps, keep))
+        for i2 in range(i1 + 1, m.n_firms):
+            if caps[i2] == 0:
+                continue
+            caps2 = list(caps)
+            caps2[i2] -= 1
+            best = max(best, col[i1] + col[i2] + _reduced_value(m, caps2, keep))
+    return best
+
+
+def clone_value_min_salaries(m: Market) -> tuple:
+    """Minimum competitive salaries: the value a clone of each worker adds
+    when the clone may not join the original's firm."""
+    total = coalition_value(m, m.firm_ids, m.worker_ids)
+    return tuple(value_with_column_duplicated(m, w) - total for w in m.worker_ids)
+
+
+def marginal_max_salaries(m: Market) -> tuple:
+    """Maximum competitive salaries: each worker's marginal contribution to
+    the grand coalition."""
+    total = coalition_value(m, m.firm_ids, m.worker_ids)
+    return tuple(
+        total - coalition_value(m, m.firm_ids, [x for x in m.worker_ids if x != w])
+        for w in m.worker_ids
     )

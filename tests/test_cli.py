@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corematch.cli import main, parse_market
 from corematch.rationals import format_decimal, format_rational, parse_rational
@@ -48,6 +52,9 @@ def test_rational_parsing():
         parse_rational("abc")
     with pytest.raises(ValueError):
         parse_rational(0.25)
+    for text in ("inf", "-Infinity", "NaN"):
+        with pytest.raises(ValueError):
+            parse_rational(text)
 
 
 def test_rational_formatting():
@@ -226,6 +233,158 @@ def test_usage_error_exit_code(bench_file):
     with pytest.raises(SystemExit) as exc:
         main(["salaries", bench_file])  # missing required --min/--max
     assert exc.value.code == 2
+
+
+def test_negative_decimal_is_usage_error(bench_file):
+    for argv in (["--decimal", "-1", "match", bench_file],
+                 ["match", bench_file, "--decimal", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+def _run_on(tmp_path, capsys, data, *argv):
+    path = tmp_path / "market.json"
+    path.write_text(json.dumps(data))
+    return run(capsys, *argv, str(path))
+
+
+def test_boolean_capacity_rejected(tmp_path, capsys):
+    firms = [{"id": "f1", "capacity": True}, {"id": "f2", "capacity": 1}]
+    code, out, err = _run_on(tmp_path, capsys, dict(BENCH, firms=firms), "match")
+    assert code == 1 and out == "" and "capacity" in err
+    sellers = [{"id": "s1", "capacity": True}, {"id": "s2", "capacity": 1}]
+    code, _, err = _run_on(
+        tmp_path, capsys, dict(BUYERS, sellers=sellers), "kaneko", "extremes"
+    )
+    assert code == 1 and "capacity" in err
+
+
+def test_agent_lists_must_hold_strings(tmp_path, capsys):
+    one_firm = {
+        "firms": [{"id": "f1", "capacity": 2}],
+        "workers": "ab",
+        "surplus": [["8", "6"]],
+    }
+    code, out, err = _run_on(tmp_path, capsys, one_firm, "match")
+    assert code == 1 and out == "" and "list of strings" in err
+    code, _, err = _run_on(tmp_path, capsys, dict(BENCH, workers=["w1", 2, "w3"]), "match")
+    assert code == 1 and "list of strings" in err
+    code, _, err = _run_on(
+        tmp_path, capsys, dict(BUYERS, buyers="abc"), "kaneko", "extremes"
+    )
+    assert code == 1 and "list of strings" in err
+    firms = [{"id": 1, "capacity": 2}, {"id": "f2", "capacity": 1}]
+    code, _, err = _run_on(tmp_path, capsys, dict(BENCH, firms=firms), "match")
+    assert code == 1 and "string" in err
+
+
+def test_malformed_values_are_domain_errors(tmp_path, capsys):
+    raw = {
+        "firms": [{"id": "f1", "capacity": 1}],
+        "workers": ["w1"],
+        "hire_values": [[9]],
+        "reservations": ["cheap"],
+    }
+    code, _, err = _run_on(tmp_path, capsys, raw, "match")
+    assert code == 1 and "reservations" in err
+    code, _, err = _run_on(
+        tmp_path, capsys, dict(BENCH, surplus=[["8", "6", "inf"], ["7", "6", "4"]]), "match"
+    )
+    assert code == 1 and "not a rational" in err
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'{"workers": ["\xff"]}')
+    code, _, err = run(capsys, "match", str(binary))
+    assert code == 1 and "UTF-8" in err
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    # small: balance() pads one dummy worker per spare seat, so a huge
+    # capacity costs time and memory in proportion to its value
+    | st.integers(-2, 4)
+    | st.sampled_from(["1/2", "2.5", "-1", "1/0", "inf", "x", ""])
+    | st.text(max_size=3)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=10,
+)
+NUMBERS = st.integers(0, 6) | st.sampled_from(["1/2", "7/3", "2.5"])
+
+
+def _matrix(rows, cols, entries=NUMBERS):
+    return st.lists(
+        st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    )
+
+
+@st.composite
+def near_markets(draw):
+    """Well-formed job-market or buyer-seller objects, half of them with one
+    field replaced by a faulty value."""
+    n_side = draw(st.integers(0, 3))
+    n_units = draw(st.integers(0, 4))
+    side = [
+        {"id": f"s{i}", "capacity": draw(st.integers(1, 3))} for i in range(n_side)
+    ]
+    units = [f"u{j}" for j in range(n_units)]
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(["surplus", "hire_values"]))
+        market = {
+            "mode": "job-market",
+            "firms": side,
+            "workers": units,
+            key: draw(_matrix(n_side, n_units)),
+            "reservations": draw(st.lists(NUMBERS, min_size=n_units, max_size=n_units)),
+        }
+    else:
+        market = {
+            "mode": "buyer-seller",
+            "buyers": units,
+            "sellers": side,
+            "valuations": draw(_matrix(n_units, n_side)),
+        }
+    if draw(st.booleans()):
+        entry = st.fixed_dictionaries({"id": JSON_SCALARS, "capacity": JSON_SCALARS})
+        faults = (
+            JSON_VALUES
+            | st.lists(entry, max_size=3)
+            | st.lists(JSON_SCALARS, max_size=4)
+            | _matrix(n_side, n_units, JSON_SCALARS)
+            | _matrix(n_units, n_side, JSON_SCALARS)
+        )
+        market[draw(st.sampled_from(sorted(market)))] = draw(faults)
+    return market
+
+
+def _exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=near_markets()
+    | st.dictionaries(
+        st.sampled_from(["mode", "firms", "workers", "surplus", "hire_values",
+                         "reservations", "buyers", "sellers", "valuations"]),
+        JSON_VALUES,
+    )
+    | st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=3)
+)
+def test_any_json_object_exits_cleanly(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "market.json"
+    path.write_text(json.dumps(data))
+    for argv in (["match"], ["salaries", "--min"], ["kaneko", "extremes"]):
+        assert _exit_code(argv + [str(path)]) in (0, 1, 2)
 
 
 def test_byte_identical_reruns(bench_file, capsys):

@@ -1,10 +1,14 @@
+from dataclasses import replace
 from fractions import Fraction as F
 from random import Random
 
 import pytest
+from hypothesis import given, settings
 
 from corematch import (
     Allocation,
+    CoreConstraint,
+    CorematchError,
     Market,
     NotOptimalError,
     RawMarket,
@@ -17,15 +21,26 @@ from corematch import (
     is_competitive_equilibrium,
     is_core_allocation,
     is_in_worker_core,
+    is_maximum,
+    is_minimum,
+    market_core_system,
     max_competitive_salaries,
     max_valid_decrease,
     min_competitive_salaries,
     optimal_matching,
+    salary_bounds,
     surplus_matrix,
 )
 from corematch.matching import Matching
 from conftest import fr
-from helpers import brute_force_core_membership, random_balanced_market
+from helpers import (
+    brute_force_core_membership,
+    clone_value_min_salaries,
+    marginal_max_salaries,
+    markets,
+    random_balanced_market,
+    random_market,
+)
 
 
 def _system(m):
@@ -165,6 +180,43 @@ def test_null_worker_and_single_pair_bounds():
     single = Market(("f1",), (1,), ("w1",), fr([[5]]))
     assert min_competitive_salaries(single) == (F(0),)
     assert max_competitive_salaries(single) == (F(5),)
+
+
+def _check_bounds_against_oracles(m):
+    system = market_core_system(m)
+    bm, mu = system.bm, system.matching
+    lowest, highest = salary_bounds(system)
+    assert bm.strip_worker_vector(lowest) == clone_value_min_salaries(m)
+    assert bm.strip_worker_vector(highest) == marginal_max_salaries(m)
+    assert is_minimum(bm, mu, lowest)
+    assert is_maximum(bm, mu, highest)
+
+
+def test_salary_bounds_match_paper_oracles():
+    rng = Random(61)
+    # balanced, padded with dummy workers, padded with a dummy firm
+    shapes = {-1: 0, 0: 0, 1: 0}
+    while min(shapes.values()) < 15:
+        m = random_market(rng, max_workers=6)
+        gap = m.total_capacity - m.n_workers
+        shapes[(gap > 0) - (gap < 0)] += 1
+        _check_bounds_against_oracles(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(markets())
+def test_salary_bounds_match_paper_oracles_generated(m):
+    _check_bounds_against_oracles(m)
+
+
+def test_salary_bounds_reject_an_empty_system(bench):
+    system = market_core_system(bench)
+    # y1 >= 9 contradicts the box bound y1 <= 8
+    empty = replace(
+        system, constraints=system.constraints + (CoreConstraint(0, 1, F(9)),)
+    )
+    with pytest.raises(CorematchError, match="positive cycle"):
+        salary_bounds(empty)
 
 
 def test_core_equivalences_on_random_markets():

@@ -17,9 +17,10 @@ from corematch import (
     optimal_assignment,
     seller_payoffs,
 )
+from corematch import core, kaneko
 from corematch.maxmin import vertices_of_system
 from conftest import fr
-from helpers import random_balanced_market
+from helpers import random_balanced_market, random_market
 
 
 def test_optimal_assignment(buyers):
@@ -181,3 +182,36 @@ def test_buyer_core_matches_transposed_job_market(buyers, bench):
     job_vertices = brute_force_vertices(bm)
     buyer_vertices = vertices_of_system(buyer_core_constraints(buyers))
     assert job_vertices == buyer_vertices
+
+
+def test_ce_vertices_solve_the_matching_once(monkeypatch):
+    calls = []
+    real = kaneko.optimal_matching
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    for module in (core, kaneko):
+        monkeypatch.setattr(module, "optimal_matching", counted)
+    rng = Random(127)
+    checked = 0
+    while checked < 15:
+        m = random_market(rng, max_workers=4)
+        if max(m.total_capacity, m.n_workers) > 5:  # keep the scan small
+            continue
+        checked += 1
+        b = BuyerMarket(
+            m.worker_ids,
+            m.firm_ids,
+            m.capacities,
+            tuple(
+                tuple(m.matrix[j][i] for j in range(m.n_firms))
+                for i in range(m.n_workers)
+            ),
+        )
+        calls.clear()
+        vertices = ce_vertices(b)
+        assert len(calls) == 1
+        for v in vertices:
+            assert v.prices == ce_prices(b, v.buyer_payoffs)

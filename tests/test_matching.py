@@ -11,13 +11,14 @@ from corematch import (
     coalition_value,
     optimal_matching,
 )
-from corematch.matching import value_with_column_duplicated
+from corematch.matching import COALITION_CACHE_SIZE, _coalition_value_masks
 from conftest import fr
 from helpers import (
     brute_force_optimal_pair_sets,
     brute_force_optimum,
     random_balanced_market,
     random_market,
+    value_with_column_duplicated,
 )
 
 
@@ -133,6 +134,28 @@ def test_duplicated_column_value(bench):
     assert value_with_column_duplicated(bench, "w1") == 21
     assert value_with_column_duplicated(bench, "w2") == 20
     assert value_with_column_duplicated(bench, "w3") == 18
+
+
+def test_optimal_matching_certified_on_random_markets():
+    rng = Random(71)
+    for _ in range(30):
+        assert optimal_matching(random_market(rng)).certified
+
+
+def test_coalition_cache_is_bounded():
+    rng = Random(73)
+    seen = set()
+    while len(seen) < 300:
+        m = random_market(rng)
+        if m in seen:
+            continue
+        seen.add(m)
+        coalition_value(m, m.firm_ids, m.worker_ids)
+    assert _coalition_value_masks.cache_info().currsize <= COALITION_CACHE_SIZE
+    coalition_value(m, m.firm_ids, m.worker_ids)
+    hits = _coalition_value_masks.cache_info().hits
+    coalition_value(m, m.firm_ids, m.worker_ids)
+    assert _coalition_value_masks.cache_info().hits == hits + 1
 
 
 def test_balanced_bench_unchanged(bench):
