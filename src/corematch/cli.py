@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import cache
 
 from . import __version__
 from .core import (
@@ -279,9 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse set-up costs milliseconds, so the parser is built on the first
+# call and reused (parse_args keeps no state between calls); building it at
+# import would tax every importer
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     fmt = (
         (lambda q: format_decimal(q, args.decimal))
         if args.decimal is not None
@@ -293,7 +300,16 @@ def main(argv=None) -> int:
     except CorematchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print("\n".join(lines))
+    try:
+        print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left; point stdout at devnull so that the interpreter's
+        # final flush of the unwritten buffer does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0
 
 

@@ -1,21 +1,36 @@
 """Exact optimal-matching solver and coalition values.
 
-The optimum of the income-maximization LP is integral, so it is computed here
-as a min-cost flow with successive shortest paths over exact rationals:
-source -> firm arcs of capacity r_i, firm -> worker arcs of capacity 1 and
-cost -a[i][j], worker -> sink arcs of capacity 1.
+The optimum of the income-maximization LP is integral, so it is computed as
+a min-cost flow: source -> firm arcs of capacity r_i, firm -> worker arcs of
+capacity 1 and cost -a[i][j], worker -> sink arcs of capacity 1.
+
+- Integer weights. The surplus matrix is scaled once by its common
+  denominator, so the solver runs on Python ints and stays exact.
+- Dijkstra with potentials. Successive shortest paths run Dijkstra on reduced
+  costs (Johnson potentials). The initial network is a DAG, so the first
+  potentials come from one pass in layer order.
+- Binary tie-break. ``optimal_matching`` gives the pair of rank r (in
+  (firm, worker) index order, K pairs) the weight a*scale*2^K + 2^(K-1-r).
+  Every matching it compares has the same volume and the tie bits sum to less
+  than 2^K, so the one solve returns, among the matchings of maximal value,
+  the one whose sorted index-pair tuple is lexicographically smallest; the
+  value is the weight's quotient by 2^K, divided by the scale.
+- Dual certificate. ``certified`` says that every residual arc has a
+  non-negative reduced cost under the final potentials, so the residual
+  network has no negative cycle and the flow is optimal for its volume.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 from .errors import CorematchError, LimitExceededError
 from .market import Market
+from .rationals import common_denominator
 
 ZERO = Fraction(0)
 
@@ -75,154 +90,120 @@ def matching_arrays(m: Market, matching: Matching) -> tuple[list, list]:
     return firm_of, workers_of
 
 
-class _Flow:
-    """Residual network for successive-shortest-path min-cost flow."""
-
-    def __init__(self, n_nodes: int):
-        self.n = n_nodes
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.cost: list[Fraction] = []
-        self.adj: list[list[int]] = [[] for _ in range(n_nodes)]
-
-    def add_edge(self, u: int, v: int, cap: int, cost: Fraction) -> int:
-        idx = len(self.to)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.cost.append(cost)
-        self.adj[u].append(idx)
-        self.to.append(u)
-        self.cap.append(0)
-        self.cost.append(-cost)
-        self.adj[v].append(idx + 1)
-        return idx
-
-    def shortest_path(self, s: int, t: int):
-        """Bellman-Ford (queue variant); residual arcs may have negative cost."""
-        dist: list[Fraction | None] = [None] * self.n
-        par_edge: list[int] = [-1] * self.n
-        dist[s] = ZERO
-        in_queue = [False] * self.n
-        queue = deque([s])
-        in_queue[s] = True
-        while queue:
-            u = queue.popleft()
-            in_queue[u] = False
-            du = dist[u]
-            for e in self.adj[u]:
-                if self.cap[e] <= 0:
-                    continue
-                v = self.to[e]
-                nd = du + self.cost[e]
-                if dist[v] is None or nd < dist[v]:
-                    dist[v] = nd
-                    par_edge[v] = e
-                    if not in_queue[v]:
-                        queue.append(v)
-                        in_queue[v] = True
-        if dist[t] is None:
-            return None, None
-        return dist[t], par_edge
-
-    def augment_unit(self, s: int, t: int, par_edge: list[int]) -> None:
-        v = t
-        while v != s:
-            e = par_edge[v]
-            self.cap[e] -= 1
-            self.cap[e ^ 1] += 1
-            v = self.to[e ^ 1]
-
-    def has_negative_cycle(self) -> bool:
-        dist = [ZERO] * self.n
-        for it in range(self.n):
-            changed = False
-            for u in range(self.n):
-                du = dist[u]
-                for e in self.adj[u]:
-                    if self.cap[e] <= 0:
-                        continue
-                    v = self.to[e]
-                    nd = du + self.cost[e]
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        changed = True
-            if not changed:
-                return False
-        return changed
-
-
-def _build_flow(
-    matrix: Sequence[Sequence[Fraction]],
-    caps: Sequence[int],
-    forbid: frozenset[tuple[int, int]],
-) -> tuple[_Flow, dict[tuple[int, int], int]]:
-    m, n = len(caps), len(matrix[0]) if matrix else 0
-    net = _Flow(m + n + 2)
-    sink = m + n + 1
-    for i in range(m):
-        if caps[i] > 0:
-            net.add_edge(0, 1 + i, caps[i], ZERO)
-    pair_edges = {}
-    for i in range(m):
-        if caps[i] <= 0:
-            continue
-        for j in range(n):
-            if (i, j) in forbid:
-                continue
-            pair_edges[(i, j)] = net.add_edge(1 + i, 1 + m + j, 1, -matrix[i][j])
-    for j in range(n):
-        net.add_edge(1 + m + j, sink, 1, ZERO)
-    return net, pair_edges
+def _scaled(matrix: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """The common denominator of ``matrix`` and the matrix times it, as ints."""
+    scale = common_denominator(a for row in matrix for a in row)
+    return scale, [
+        [a.numerator * (scale // a.denominator) for a in row] for row in matrix
+    ]
 
 
 def _solve(
-    matrix: Sequence[Sequence[Fraction]],
+    weights: Sequence[Sequence[int]],
     caps: Sequence[int],
-    *,
-    forbid: frozenset[tuple[int, int]] = frozenset(),
     volume: int | None = None,
-    certify: bool = False,
-):
-    """Min-cost-flow core. With ``volume`` set, routes exactly that many units
-    (None if infeasible); otherwise maximizes total value. Returns
-    (value, index pairs, certified). The O(V*E) negative-cycle certificate is
-    computed only with ``certify`` set; otherwise ``certified`` is False.
+) -> tuple[int, list[tuple[int, int]], bool]:
+    """Max-weight flow by successive shortest paths on integer weights.
+
+    Routes exactly ``volume`` units, which the complete bipartite network
+    always admits for volume <= min(sum(caps), columns); with ``volume`` None,
+    augments while a path adds weight. Returns (total weight, sorted index
+    pairs, certified).
     """
     m = len(caps)
-    n = len(matrix[0]) if matrix else 0
+    n = len(weights[0]) if weights else 0
     if m == 0 or n == 0:
-        if volume:
-            return None
-        return ZERO, [], certify
-    net, pair_edges = _build_flow(matrix, caps, forbid)
+        return 0, [], True
     sink = m + n + 1
+    n_nodes = m + n + 2
+    to: list[int] = []
+    cap: list[int] = []
+    cost: list[int] = []
+    adj: list[list[int]] = [[] for _ in range(n_nodes)]
+
+    def arc(u: int, v: int, c: int, w: int) -> int:
+        adj[u].append(len(to))
+        to.append(v)
+        cap.append(c)
+        cost.append(w)
+        adj[v].append(len(to))
+        to.append(u)
+        cap.append(0)
+        cost.append(-w)
+        return len(to) - 2
+
+    pair_arcs = []
+    for i in range(m):
+        arc(0, 1 + i, caps[i], 0)
+        for j in range(n):
+            pair_arcs.append((i, j, arc(1 + i, 1 + m + j, 1, -weights[i][j])))
+    for j in range(n):
+        arc(1 + m + j, sink, 1, 0)
+
+    # shortest distances in the initial DAG: 0 at the source and the firms
+    pot = [0] * n_nodes
+    for j in range(n):
+        pot[1 + m + j] = -max(row[j] for row in weights)
+    pot[sink] = min(pot[1 + m : sink])
+
     routed = 0
-    value = ZERO
-    while True:
-        if volume is not None and routed >= volume:
+    while volume is None or routed < volume:
+        dist: list[int | None] = [None] * n_nodes
+        parent = [-1] * n_nodes
+        done = [False] * n_nodes
+        dist[0] = 0
+        heap = [(0, 0)]
+        while heap:
+            d, u = heappop(heap)
+            if done[u]:
+                continue
+            done[u] = True
+            if u == sink:
+                break
+            base = d + pot[u]
+            for e in adj[u]:
+                if cap[e]:
+                    v = to[e]
+                    nd = base + cost[e] - pot[v]
+                    if dist[v] is None or nd < dist[v]:
+                        dist[v] = nd
+                        parent[v] = e
+                        heappush(heap, (nd, v))
+        if not done[sink]:
             break
-        dist, par = net.shortest_path(0, sink)
-        if dist is None:
-            if volume is not None:
-                return None
+        # settled nodes move by dist - dist[sink], the rest by 0: every
+        # residual arc keeps a non-negative reduced cost, and the path's
+        # arcs (and so their reverses) get reduced cost 0
+        reach = dist[sink]
+        for v in range(n_nodes):
+            if done[v]:
+                pot[v] += dist[v] - reach
+        if volume is None and pot[sink] - pot[0] >= 0:
             break
-        if volume is None and dist >= 0:
-            break
-        net.augment_unit(0, sink, par)
-        value -= dist
+        v = sink
+        while v != 0:
+            e = parent[v]
+            cap[e] -= 1
+            cap[e ^ 1] += 1
+            v = to[e ^ 1]
         routed += 1
-    pairs = [(i, j) for (i, j), e in pair_edges.items() if net.cap[e] == 0]
-    certified = certify and not net.has_negative_cycle()
-    return value, sorted(pairs), certified
+
+    pairs = [(i, j) for i, j, e in pair_arcs if cap[e] == 0]
+    certified = all(
+        cost[e] + pot[u] - pot[to[e]] >= 0
+        for u in range(n_nodes)
+        for e in adj[u]
+        if cap[e]
+    )
+    return sum(weights[i][j] for i, j in pairs), pairs, certified
 
 
 def _market_value(
-    matrix: Sequence[Sequence[Fraction]],
-    caps: Sequence[int],
-    forbid: frozenset[tuple[int, int]] = frozenset(),
+    matrix: Sequence[Sequence[Fraction]], caps: Sequence[int]
 ) -> Fraction:
-    value, _, _ = _solve(matrix, caps, forbid=forbid)
-    return value
+    scale, weights = _scaled(matrix)
+    total, _, _ = _solve(weights, caps)
+    return Fraction(total, scale)
 
 
 def optimal_matching(m: Market) -> MatchingResult:
@@ -233,69 +214,18 @@ def optimal_matching(m: Market) -> MatchingResult:
     saturated and every worker has an employer), the lexicographically
     smallest pair set under input index order is returned.
     """
+    scale, weights = _scaled(m.matrix)
+    k = m.n_firms * m.n_workers
+    tied = [
+        [(w << k) + (1 << (k - 1 - i * m.n_workers - j)) for j, w in enumerate(row)]
+        for i, row in enumerate(weights)
+    ]
     volume = min(m.total_capacity, m.n_workers)
-    solved = _solve(m.matrix, m.capacities, volume=volume, certify=True)
-    value, _, certified = solved
-    pairs = _lex_smallest_pairs(m, value, volume)
+    total, pairs, certified = _solve(tied, m.capacities, volume)
     matching = Matching(
         tuple((m.firm_ids[i], m.worker_ids[j]) for i, j in pairs)
     )
-    return MatchingResult(matching, value, certified)
-
-
-def _lex_smallest_pairs(m: Market, value: Fraction, volume: int) -> list:
-    """Greedy lexicographic fixing over candidate pairs.
-
-    A pair is kept iff some matching of full volume and value ``value``
-    contains all kept pairs, this one, and none of the discarded ones.
-    """
-    kept: list[tuple[int, int]] = []
-    forbid: set[tuple[int, int]] = set()
-    caps = list(m.capacities)
-    used_workers: set[int] = set()
-    kept_value = ZERO
-    for i in range(m.n_firms):
-        for j in range(m.n_workers):
-            if caps[i] == 0 or j in used_workers:
-                continue
-            trial_caps = list(caps)
-            trial_caps[i] -= 1
-            rest = _solve_without(
-                m, trial_caps, used_workers | {j}, frozenset(forbid), volume - len(kept) - 1
-            )
-            if rest is not None and kept_value + m.matrix[i][j] + rest == value:
-                kept.append((i, j))
-                kept_value += m.matrix[i][j]
-                caps[i] -= 1
-                used_workers.add(j)
-            else:
-                forbid.add((i, j))
-    if len(kept) != volume:
-        raise AssertionError("lexicographic fixing lost the optimum")
-    return kept
-
-
-def _solve_without(
-    m: Market,
-    caps: Sequence[int],
-    removed_workers: set[int],
-    forbid: frozenset[tuple[int, int]],
-    volume: int,
-):
-    """Max value over matchings of the reduced market at exactly ``volume``."""
-    keep = [j for j in range(m.n_workers) if j not in removed_workers]
-    if not keep or all(c == 0 for c in caps):
-        return ZERO if volume <= 0 else None
-    sub_matrix = [[m.matrix[i][j] for j in keep] for i in range(m.n_firms)]
-    sub_forbid = frozenset(
-        (i, keep.index(j)) for i, j in forbid if j in keep
-    )
-    if volume <= 0:
-        return ZERO
-    solved = _solve(sub_matrix, caps, forbid=sub_forbid, volume=volume)
-    if solved is None:
-        return None
-    return solved[0]
+    return MatchingResult(matching, Fraction(total >> k, scale), certified)
 
 
 def all_optimal_matchings(m: Market, limit: int = 10) -> tuple[Matching, ...]:

@@ -1,12 +1,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corematch
 from corematch.cli import main, parse_market
 from corematch.rationals import format_decimal, format_rational, parse_rational
 
@@ -393,3 +398,47 @@ def test_byte_identical_reruns(bench_file, capsys):
         _, out, _ = run(capsys, "extremes", bench_file, "--witnesses")
         outputs.add(out)
     assert len(outputs) == 1
+
+
+def _fresh_process(argv, stdout=subprocess.PIPE):
+    env = dict(os.environ, PYTHONPATH=str(Path(corematch.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "corematch.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+    )
+
+
+def test_consecutive_calls_match_fresh_processes(bench_file):
+    sequence = [
+        ["--decimal", "2", "fair-division", bench_file],
+        ["fair-division", bench_file],
+        ["salaries", bench_file, "--min"],
+        ["salaries", bench_file, "--max"],
+        ["salaries", bench_file],  # usage error: --min or --max is required
+        ["match", bench_file],
+    ]
+    codes = []
+    for argv in sequence:
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        fresh = _fresh_process(argv)
+        assert (code, out.getvalue(), err.getvalue()) == (
+            fresh.returncode, fresh.stdout, fresh.stderr
+        )
+        codes.append(code)
+    assert codes == [0, 0, 0, 0, 2, 0]
+
+
+def test_closed_stdout_exits_1_without_traceback(bench_file):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader from the start, so the first write fails
+    try:
+        proc = _fresh_process(["match", bench_file], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""

@@ -2,6 +2,8 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corematch import (
     LimitExceededError,
@@ -10,13 +12,22 @@ from corematch import (
     balance,
     coalition_value,
     optimal_matching,
+    restrict,
 )
-from corematch.matching import COALITION_CACHE_SIZE, _coalition_value_masks
+from corematch.matching import (
+    COALITION_CACHE_SIZE,
+    Matching,
+    _coalition_value_masks,
+    enumerate_all_matchings,
+)
+from corematch.rationals import common_denominator
 from conftest import fr
 from helpers import (
     brute_force_optimal_pair_sets,
     brute_force_optimum,
+    matching_value,
     random_balanced_market,
+    random_fraction,
     random_market,
     value_with_column_duplicated,
 )
@@ -160,3 +171,117 @@ def test_coalition_cache_is_bounded():
 
 def test_balanced_bench_unchanged(bench):
     assert balance(bench).market == bench
+
+
+# Oracle markets: balanced, padded with dummy workers by ``balance``, short on
+# seats, and tie-heavy with every surplus in {0, 1}. Sizes stay within the
+# enumeration limit after padding.
+ORACLE_KINDS = ("balanced", "padded", "short", "ties")
+
+
+def _oracle_market(caps, matrix, pad=False) -> Market:
+    m = Market(
+        tuple(f"f{i}" for i in range(1, len(caps) + 1)),
+        tuple(caps),
+        tuple(f"w{j}" for j in range(1, len(matrix[0]) + 1)),
+        tuple(tuple(row) for row in matrix),
+    )
+    return balance(m).market if pad else m
+
+
+def random_oracle_market(rng: Random, kind: str) -> Market:
+    n = rng.randint(2, 6)
+    n_firms = rng.randint(1, min(3, n - 1) if kind == "short" else 3)
+    if kind == "balanced":
+        n_firms = min(n_firms, n)
+        caps = [1] * n_firms
+        for _ in range(n - n_firms):
+            caps[rng.randrange(n_firms)] += 1
+    elif kind == "padded":
+        n = rng.randint(1, 5)
+        caps = [rng.randint(1, 2) for _ in range(n_firms)]
+        caps[0] += max(0, n + 1 - sum(caps))
+    elif kind == "short":
+        caps = [1] * n_firms
+        for _ in range(rng.randint(0, n - 1 - n_firms)):
+            caps[rng.randrange(n_firms)] += 1
+    else:
+        caps = [rng.randint(1, 3) for _ in range(n_firms)]
+    if kind == "ties":
+        matrix = [[F(rng.randint(0, 1)) for _ in range(n)] for _ in caps]
+    else:
+        matrix = [[random_fraction(rng) for _ in range(n)] for _ in caps]
+    return _oracle_market(caps, matrix, pad=kind == "padded")
+
+
+@st.composite
+def oracle_markets(draw):
+    n = draw(st.integers(1, 5))
+    caps = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        value = st.integers(0, 1).map(F)
+    else:
+        value = st.builds(F, st.integers(0, 8), st.sampled_from((1, 2, 3)))
+    row = st.lists(value, min_size=n, max_size=n)
+    matrix = draw(st.lists(row, min_size=len(caps), max_size=len(caps)))
+    return _oracle_market(caps, matrix, pad=draw(st.booleans()))
+
+
+def lex_smallest_optimum(m: Market) -> tuple:
+    """Enumeration oracle: the lexicographically smallest sorted index-pair
+    tuple among the maximum-volume matchings of maximal value."""
+    volume = min(m.total_capacity, m.n_workers)
+    full = [p for p in enumerate_all_matchings(m) if len(p) == volume]
+    best = max(matching_value(m, p) for p in full)
+    return min(tuple(sorted(p)) for p in full if matching_value(m, p) == best)
+
+
+def check_against_oracles(m: Market, rng: Random) -> None:
+    res = optimal_matching(m)
+    pairs = lex_smallest_optimum(m)
+    assert res.matching == Matching(
+        tuple((m.firm_ids[i], m.worker_ids[j]) for i, j in pairs)
+    )
+    assert res.value == matching_value(m, pairs)
+    assert res.certified
+    for _ in range(4):
+        firms = [f for f in m.firm_ids if rng.random() < 0.6]
+        workers = [w for w in m.worker_ids if rng.random() < 0.6]
+        expected = (
+            brute_force_optimum(restrict(m, firms, workers))
+            if firms and workers
+            else 0
+        )
+        assert coalition_value(m, firms, workers) == expected
+
+
+def test_optimal_matching_against_enumeration():
+    rng = Random(79)
+    for _ in range(40):
+        for kind in ORACLE_KINDS:
+            check_against_oracles(random_oracle_market(rng, kind), rng)
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=oracle_markets(), seed=st.integers(0, 2**16))
+def test_optimal_matching_against_enumeration_hypothesis(m, seed):
+    check_against_oracles(m, Random(seed))
+
+
+def test_value_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = Random(83)
+    for _ in range(30):
+        for kind in ORACLE_KINDS:
+            m = random_oracle_market(rng, kind)
+            scale = common_denominator(a for row in m.matrix for a in row)
+            # one node per seat, integer weights
+            g = nx.Graph()
+            for i, cap in enumerate(m.capacities):
+                for seat in range(cap):
+                    for j in range(m.n_workers):
+                        g.add_edge(("f", i, seat), ("w", j),
+                                   weight=int(m.matrix[i][j] * scale))
+            mate = nx.max_weight_matching(g, maxcardinality=True)
+            total = sum(g.edges[u, v]["weight"] for u, v in mate)
+            assert optimal_matching(m).value == F(total, scale)
