@@ -249,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="full extended-order table with core flags",
     )
-    p.add_argument("--jobs", type=int, default=1, help="parallel scan processes")
 
     p = add("digraph", help="tight digraph of a salary vector")
     p.add_argument("salaries")
@@ -411,7 +410,7 @@ def _cmd_extremes(m: Market, args, fmt) -> list[str]:
         in_core = sum(1 for _, _, ok in rows if ok)
         lines.append(f"extended orders: {len(rows)}, in core: {in_core}")
         return lines
-    extremes = enumerate_extremes(bm, jobs=args.jobs)
+    extremes = enumerate_extremes(bm)
     if args.json:
         payload = [
             {

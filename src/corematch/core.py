@@ -96,6 +96,12 @@ class CoreConstraintSystem:
         """a[j's matched firm][j], the box upper bound of worker j."""
         return self.bm.market.matrix[self.firm_of[j]][j]
 
+    def scaled_rows(self) -> tuple[int, list[tuple[int, int, int]]]:
+        """The rows as integer (tail, head, rhs) triples, and the common
+        denominator of the right-hand sides that scales them."""
+        scale = common_denominator(c.rhs for c in self.constraints)
+        return scale, [(c.tail, c.head, int(c.rhs * scale)) for c in self.constraints]
+
 
 def _saturating_arrays(bm: BalancedMarket, mu: Matching) -> tuple[list, list]:
     m = bm.market
@@ -271,8 +277,7 @@ def salary_bounds(
     integers scaled by the common denominator of the right-hand sides. At an
     optimal matching the core is never empty, so a positive cycle raises.
     """
-    scale = common_denominator(c.rhs for c in system.constraints)
-    arcs = [(c.tail, c.head, int(c.rhs * scale)) for c in system.constraints]
+    scale, arcs = system.scaled_rows()
     n_nodes = system.n_workers + 1
     lowest = _longest_paths(n_nodes, arcs)
     highest = _longest_paths(n_nodes, [(head, tail, w) for tail, head, w in arcs])

@@ -9,7 +9,6 @@ seller and can be strictly smaller than the core.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -24,7 +23,7 @@ from .core import (
 from .errors import CorematchError, NotInCoreError
 from .market import BalancedMarket, Market, balance
 from .matching import Matching, matching_arrays, optimal_matching
-from .maxmin import _scan, vertices_of_system
+from .maxmin import _scan
 from .tight_digraph import TightDigraph
 
 ZERO = Fraction(0)
@@ -143,29 +142,17 @@ class CEVertex:
 def ce_vertices(b: BuyerMarket, *, limit: int = 6) -> tuple[CEVertex, ...]:
     """All extreme CE payoff vectors (projected to the original buyers).
 
-    The vertex-enumeration oracle on the CE constraint system is the
-    authority; the modified max-min scan (predecessors over all buyers) is
-    compared against it and any discrepancy is reported as a warning.
+    The max-min scan runs on the CE constraint system, whose predecessor
+    bounds span all buyers, same seller or not. That system keeps both box
+    rows for every buyer, so the scan returns exactly its vertex set;
+    ``maxmin.vertices_of_system`` is the test oracle.
     """
     system = ce_constraints(b)
-    bm = system.bm
-    vertices = vertices_of_system(system, limit=limit)
-
-    m = bm.market
-    scale, _, _, witnesses = _scan(m, list(system.firm_of), False, False)
-    scanned = frozenset(
-        tuple(Fraction(v, scale) for v in vec) for vec in witnesses
-    )
-    if scanned != vertices:
-        warnings.warn(
-            "max-min scan and vertex oracle disagree on the CE extreme set; "
-            "returning the oracle result",
-            stacklevel=2,
-        )
+    scale, _, _, witnesses = _scan(system, limit)
     out = []
-    for vec in sorted(vertices):
-        stripped = bm.strip_worker_vector(vec)
-        out.append(CEVertex(stripped, _prices(system, vec)))
+    for vec in sorted(witnesses):
+        x = tuple(Fraction(v, scale) for v in vec)
+        out.append(CEVertex(system.bm.strip_worker_vector(x), _prices(system, x)))
     return tuple(out)
 
 

@@ -2,17 +2,19 @@
 
 An extended order is a worker permutation with a minimize/maximize flag per
 position. Walking the order, each worker's salary is set tight against the
-strongest bound induced by its predecessors (zero / box bound when none
-applies). Every extreme point of the salary polytope arises this way, so
-scanning all n! * 2^n extended orders and keeping the vectors that satisfy
-the core constraints yields exactly the extreme set. An independent
-vertex-enumeration oracle over the same constraint rows cross-checks this.
+strongest bound induced by its predecessors (its box bound when none
+applies). Every vertex of a difference-constraint system with both box rows
+for every worker arises this way, so scanning all n! * 2^n extended orders
+over the system's integer rows and keeping the vectors that satisfy every
+row yields exactly the vertex set: of the core system here, and of the CE
+system in ``kaneko.ce_vertices``. The brute-force vertex enumeration
+(``vertices_of_system``, ``brute_force_vertices``) is kept as the
+independent oracle the tests check the scan against.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -20,13 +22,11 @@ from typing import Sequence
 
 from . import _kernels
 from .core import Allocation, CoreConstraintSystem, core_constraints, firm_payoffs
-from .errors import LimitExceededError
+from .errors import CorematchError, LimitExceededError
 from .market import BalancedMarket
 from .matching import Matching, matching_arrays, optimal_matching
-from .rationals import common_denominator
 
 ZERO = Fraction(0)
-SENTINEL = _kernels.SENTINEL
 
 
 @dataclass(frozen=True)
@@ -95,58 +95,14 @@ def maxmin_vector(
     return tuple(y[k] for k in range(m.n_workers))
 
 
-def _scaled_tables(m, firm_of, skip_same_firm: bool):
-    """Integer tables for the kernels: diagonal box bounds plus the lower and
-    upper bound increments between ordered worker pairs."""
-    n = m.n_workers
-    scale = common_denominator(v for row in m.matrix for v in row)
-    diag = [int(m.matrix[firm_of[j]][j] * scale) for j in range(n)]
-    lower = [[SENTINEL] * n for _ in range(n)]
-    upper = [[SENTINEL] * n for _ in range(n)]
-    for j in range(n):
-        for k in range(n):
-            if k == j or (skip_same_firm and firm_of[j] == firm_of[k]):
-                continue
-            row_j = m.matrix[firm_of[j]]
-            row_k = m.matrix[firm_of[k]]
-            lower[j][k] = int((row_j[k] - row_j[j]) * scale)
-            upper[j][k] = int((row_k[k] - row_k[j]) * scale)
-    return scale, diag, lower, upper
-
-
-def _scan(m, firm_of, skip_same_firm, collect_rows, jobs=1):
-    n = m.n_workers
-    scale, diag, lower, upper = _scaled_tables(m, firm_of, skip_same_firm)
+def _scan(system: CoreConstraintSystem, limit: int, collect_rows: bool = False):
+    """Run the extended-order scan on the integer rows of ``system``."""
+    n = system.n_workers
+    _check_limit(n, limit)
+    scale, rows = system.scaled_rows()
     perms = list(permutations(range(n)))
-    if jobs > 1 and not collect_rows and len(perms) >= jobs:
-        chunk = (len(perms) + jobs - 1) // jobs
-        parts = [perms[k : k + chunk] for k in range(0, len(perms), chunk)]
-        args = [
-            (part, n, diag, lower, upper, k * chunk)
-            for k, part in enumerate(parts)
-        ]
-        witnesses: dict[tuple, list] = {}
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part_wit in pool.map(_scan_chunk, args):
-                for vec, codes in part_wit.items():
-                    witnesses.setdefault(vec, []).extend(codes)
-        for codes in witnesses.values():
-            codes.sort()
-        rows = None
-    else:
-        rows, witnesses = _kernels.scan_orders(
-            perms, n, diag, lower, upper, collect_rows
-        )
-    return scale, perms, rows, witnesses
-
-
-def _scan_chunk(args):
-    perms, n, diag, lower, upper, offset = args
-    _, witnesses = _kernels.scan_orders(perms, n, diag, lower, upper, False)
-    return {
-        vec: [(pi + offset, bits) for pi, bits in codes]
-        for vec, codes in witnesses.items()
-    }
+    table, witnesses = _kernels.scan_orders(perms, n, rows, collect_rows)
+    return scale, perms, table, witnesses
 
 
 def _order_from_code(m, perm, bits: int) -> ExtendedOrder:
@@ -164,16 +120,16 @@ def _check_limit(n: int, limit: int) -> None:
         )
 
 
-def enumerate_extremes(
-    bm: BalancedMarket, *, limit: int = 8, jobs: int = 1
-) -> ExtremeSet:
+def _core_system(bm: BalancedMarket) -> CoreConstraintSystem:
+    return core_constraints(bm, optimal_matching(bm.market).matching)
+
+
+def enumerate_extremes(bm: BalancedMarket, *, limit: int = 8) -> ExtremeSet:
     """All extreme competitive salary vectors, with every witnessing extended
     order and the induced allocation on the original market."""
+    system = _core_system(bm)
+    scale, perms, _, witnesses = _scan(system, limit)
     m = bm.market
-    _check_limit(m.n_workers, limit)
-    mu = optimal_matching(m).matching
-    firm_of, _ = matching_arrays(m, mu)
-    scale, perms, _, witnesses = _scan(m, firm_of, True, False, jobs=jobs)
     points = []
     for vec in sorted(witnesses):
         salaries = tuple(Fraction(v, scale) for v in vec)
@@ -181,7 +137,9 @@ def enumerate_extremes(
             _order_from_code(m, perms[pi], bits) for pi, bits in witnesses[vec]
         )
         points.append(
-            ExtremePoint(salaries, firm_payoffs(bm, mu, salaries), orders)
+            ExtremePoint(
+                salaries, firm_payoffs(bm, system.matching, salaries), orders
+            )
         )
     return ExtremeSet(tuple(points))
 
@@ -191,18 +149,14 @@ def maxmin_table(
 ) -> list[tuple[ExtendedOrder, tuple[Fraction, ...], bool]]:
     """Every extended order with its max-min vector and core membership flag,
     in enumeration order (permutations lexicographic, min flags first)."""
-    m = bm.market
-    _check_limit(m.n_workers, limit)
-    mu = optimal_matching(m).matching
-    firm_of, _ = matching_arrays(m, mu)
-    scale, perms, rows, _ = _scan(m, firm_of, True, True)
+    scale, perms, table, _ = _scan(_core_system(bm), limit, collect_rows=True)
     return [
         (
-            _order_from_code(m, perms[pi], bits),
+            _order_from_code(bm.market, perms[pi], bits),
             tuple(Fraction(v, scale) for v in vec),
             ok,
         )
-        for pi, bits, vec, ok in rows
+        for pi, bits, vec, ok in table
     ]
 
 
@@ -211,16 +165,16 @@ def witnesses_for(
 ) -> tuple[ExtendedOrder, ...]:
     """All extended orders whose max-min vector equals ``y``.
 
-    Only extreme competitive salary vectors have witnesses; anything else
-    yields an empty tuple with a warning.
+    ``y`` holds the salaries of the original or of the balanced workers; any
+    other length raises. Only extreme competitive salary vectors have
+    witnesses; anything else yields an empty tuple with a warning.
     """
     m = bm.market
-    _check_limit(m.n_workers, limit)
     if len(y) == bm.n_original_workers:
         y = bm.extend_worker_vector(y)
-    mu = optimal_matching(m).matching
-    firm_of, _ = matching_arrays(m, mu)
-    scale, perms, _, witnesses = _scan(m, firm_of, True, False)
+    if len(y) != m.n_workers:
+        raise CorematchError(f"expected {m.n_workers} salaries, got {len(y)}")
+    scale, perms, _, witnesses = _scan(_core_system(bm), limit)
     key = []
     for v in y:
         scaled = Fraction(v) * scale
@@ -240,27 +194,20 @@ def witnesses_for(
 
 
 def vertices_of_system(
-    system: CoreConstraintSystem | None,
-    *,
-    rows=None,
-    n: int | None = None,
-    limit: int = 6,
+    system: CoreConstraintSystem, *, limit: int = 6
 ) -> frozenset[tuple[Fraction, ...]]:
     """Brute-force vertex oracle for a difference-constraint system.
 
     Every n-subset of rows is treated as equalities and solved exactly when
     nonsingular; feasible solutions are the vertices. Independent of the
-    extended-order machinery.
+    extended-order machinery; the tests use it as the oracle of the scan.
     """
-    if system is not None:
-        rows = system.constraints
-        n = system.n_workers
+    n = system.n_workers
     _check_limit(n, limit)
-    scale = common_denominator(c.rhs for c in rows)
-    int_rows = [(c.tail, c.head, int(c.rhs * scale)) for c in rows]
-    solutions = _kernels.vertex_solutions(n, int_rows)
+    scale, rows = system.scaled_rows()
     return frozenset(
-        tuple(Fraction(v, scale) for v in vec) for vec in solutions
+        tuple(Fraction(v, scale) for v in vec)
+        for vec in _kernels.vertex_solutions(n, rows)
     )
 
 
@@ -268,5 +215,4 @@ def brute_force_vertices(
     bm: BalancedMarket, *, limit: int = 6
 ) -> frozenset[tuple[Fraction, ...]]:
     """The exact vertex set of the competitive salary polytope of ``bm``."""
-    mu = optimal_matching(bm.market).matching
-    return vertices_of_system(core_constraints(bm, mu), limit=limit)
+    return vertices_of_system(_core_system(bm), limit=limit)

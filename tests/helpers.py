@@ -5,7 +5,7 @@ from random import Random
 
 from hypothesis import strategies as st
 
-from corematch import Market, coalition_value
+from corematch import BuyerMarket, Market, coalition_value
 from corematch.matching import enumerate_all_matchings
 
 ZERO = F(0)
@@ -114,6 +114,59 @@ def markets(draw, max_firms=3, max_workers=5):
         tuple(f"w{j}" for j in range(1, n + 1)),
         tuple(tuple(row) for row in matrix),
     )
+
+
+BUYER_SHAPES = ("balanced", "spare units", "short of units")
+
+
+def buyer_market(caps, matrix) -> BuyerMarket:
+    return BuyerMarket(
+        tuple(f"b{i}" for i in range(1, len(matrix) + 1)),
+        tuple(f"s{j}" for j in range(1, len(caps) + 1)),
+        tuple(caps),
+        tuple(tuple(row) for row in matrix),
+    )
+
+
+def random_buyer_market(rng: Random, shape: str, max_size=5) -> BuyerMarket:
+    """Buyer-seller market whose balanced form has at most ``max_size``
+    buyers. "balanced": as many units as buyers; "spare units": more units,
+    so balancing adds dummy buyers; "short of units": fewer units, so
+    balancing adds a dummy seller."""
+    while True:
+        caps = [rng.randint(1, 2) for _ in range(rng.randint(1, 3))]
+        total = sum(caps)
+        if shape == "balanced":
+            n = total
+        elif shape == "spare units":
+            n = rng.randint(1, total - 1) if total > 1 else 0
+        else:
+            n = total + rng.randint(1, 2)
+        if 1 <= n and max(n, total) <= max_size:
+            break
+    matrix = [[random_fraction(rng) for _ in caps] for _ in range(n)]
+    return buyer_market(caps, matrix)
+
+
+@st.composite
+def buyer_markets(draw, max_size=5):
+    """Hypothesis buyer-seller markets of every shape, at most ``max_size``
+    buyers after balancing."""
+    caps = draw(
+        st.lists(st.integers(1, 2), min_size=1, max_size=3).filter(
+            lambda c: sum(c) <= max_size
+        )
+    )
+    n = draw(st.integers(1, max_size))
+    value = st.builds(F, st.integers(0, 8), st.sampled_from((1, 2, 3)))
+    matrix = draw(
+        st.lists(
+            st.lists(value, min_size=len(caps), max_size=len(caps)),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    return buyer_market(caps, matrix)
 
 
 # The paper's characterizations of the salary bounds. Production computes

@@ -160,9 +160,6 @@ def test_extremes_commands(bench_file, capsys):
     payload = json.loads(out)
     assert len(payload) == 9
     assert sum(len(p["witnesses"]) for p in payload) == 28
-    _, serial, _ = run(capsys, "extremes", bench_file)
-    _, parallel, _ = run(capsys, "extremes", bench_file, "--jobs", "2")
-    assert serial == parallel
 
 
 def test_digraph_command(bench_file, capsys):

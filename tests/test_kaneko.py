@@ -2,6 +2,7 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
+from hypothesis import given, settings
 
 from corematch import (
     BuyerMarket,
@@ -17,10 +18,16 @@ from corematch import (
     optimal_assignment,
     seller_payoffs,
 )
-from corematch import core, kaneko
+from corematch import _kernels, core, kaneko
 from corematch.maxmin import vertices_of_system
 from conftest import fr
-from helpers import random_balanced_market, random_market
+from helpers import (
+    BUYER_SHAPES,
+    buyer_markets,
+    random_balanced_market,
+    random_buyer_market,
+    random_market,
+)
 
 
 def test_optimal_assignment(buyers):
@@ -215,3 +222,41 @@ def test_ce_vertices_solve_the_matching_once(monkeypatch):
         assert len(calls) == 1
         for v in vertices:
             assert v.prices == ce_prices(b, v.buyer_payoffs)
+
+
+def ce_oracle(b: BuyerMarket) -> list:
+    """The CE vertices by brute-force vertex enumeration, original buyers."""
+    system = ce_constraints(b)
+    return sorted(
+        system.bm.strip_worker_vector(x) for x in vertices_of_system(system)
+    )
+
+
+@pytest.mark.parametrize("shape", BUYER_SHAPES)
+def test_ce_vertices_match_the_vertex_oracle(shape):
+    rng = Random(BUYER_SHAPES.index(shape) + 139)
+    for _ in range(40):
+        b = random_buyer_market(rng, shape)
+        bm = b.balanced()
+        assert (bm.market.n_workers > len(b.buyer_ids)) == (shape == "spare units")
+        assert (bm.dummy_firm_id is not None) == (shape == "short of units")
+        assert [v.buyer_payoffs for v in ce_vertices(b)] == ce_oracle(b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(buyer_markets())
+def test_ce_vertices_match_the_vertex_oracle_hypothesis(b):
+    assert [v.buyer_payoffs for v in ce_vertices(b)] == ce_oracle(b)
+
+
+def test_ce_vertices_do_not_run_the_vertex_oracle(buyers, monkeypatch):
+    def refuse(n, rows):
+        raise AssertionError("the vertex oracle ran")
+
+    monkeypatch.setattr(_kernels, "vertex_solutions", refuse)
+    with pytest.raises(AssertionError, match="oracle ran"):
+        vertices_of_system(ce_constraints(buyers))
+    got = [v.buyer_payoffs for v in ce_vertices(buyers)]
+    assert got == [
+        (F(4), F(2), F(0)), (F(5), F(3), F(0)), (F(8), F(6), F(3)), (F(8), F(6), F(4)),
+    ]

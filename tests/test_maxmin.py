@@ -4,6 +4,7 @@ from random import Random
 import pytest
 
 from corematch import (
+    CorematchError,
     ExtendedOrder,
     LimitExceededError,
     balance,
@@ -269,8 +270,27 @@ def test_enumeration_limits():
         brute_force_vertices(bm)
 
 
-def test_parallel_scan_matches_serial(bench):
+def test_row_of_minus_two_to_the_62_is_a_row():
+    # every variant has the cross-firm core row y_w2 - y_w1 >= -2**62
+    big = 2**62
+    for shift in range(4):
+        for low in (0, 1, 3, 9):
+            m = Market(("f1", "f2"), (1, 1), ("w1", "w2"),
+                       fr([[big + 10 + shift, 10 + shift], [low, big - 7]]))
+            bm, mu = _setup(m)
+            extremes = enumerate_extremes(bm).salary_vectors()
+            assert extremes == brute_force_vertices(bm)
+            system = core_constraints(bm, mu)
+            for _, vec, ok in maxmin_table(bm):
+                if ok:
+                    assert system.contains(vec)
+            if shift == low == 0:
+                assert (F(big + 10), F(10)) in extremes
+                assert (F(big + 10), F(0)) not in extremes
+
+
+def test_witnesses_reject_a_vector_of_the_wrong_length(bench):
     bm, _ = _setup(bench)
-    serial = enumerate_extremes(bm)
-    parallel = enumerate_extremes(bm, jobs=2)
-    assert serial == parallel
+    for y in ((F(1),), (F(1), F(2)), (F(0),) * 4):
+        with pytest.raises(CorematchError, match="expected 3 salaries"):
+            witnesses_for(bm, y)
