@@ -5,7 +5,8 @@ projects onto worker salaries as a system of at most n^2 + 2n difference
 constraints, all of the form y[head] - y[tail] >= rhs over the node set
 workers + {0}, where node 0 carries the fixed salary 0. Firm payoffs are then
 determined, so membership, extremality, and the salary bounds can all be
-decided in this space.
+decided in this space. The same rows certify mu: a saturating matching is
+optimal exactly when they have a solution.
 
 The minimum and maximum competitive salary vectors are the least and the
 greatest solution of that system, read off longest paths to and from node 0
@@ -27,7 +28,6 @@ from .market import BalancedMarket, Market, RawMarket, balance, surplus_matrix
 from .matching import (
     Matching,
     all_optimal_matchings,
-    coalition_value,
     matching_arrays,
     optimal_matching,
 )
@@ -100,7 +100,10 @@ class CoreConstraintSystem:
         """The rows as integer (tail, head, rhs) triples, and the common
         denominator of the right-hand sides that scales them."""
         scale = common_denominator(c.rhs for c in self.constraints)
-        return scale, [(c.tail, c.head, int(c.rhs * scale)) for c in self.constraints]
+        return scale, [
+            (c.tail, c.head, c.rhs.numerator * (scale // c.rhs.denominator))
+            for c in self.constraints
+        ]
 
 
 def _saturating_arrays(bm: BalancedMarket, mu: Matching) -> tuple[list, list]:
@@ -115,16 +118,18 @@ def _saturating_arrays(bm: BalancedMarket, mu: Matching) -> tuple[list, list]:
     return firm_of, workers_of
 
 
-def check_optimal(m: Market, mu: Matching) -> Fraction:
-    """Value of ``mu``, raising unless it attains the market optimum."""
-    matching_arrays(m, mu)
-    value = mu.value(m)
-    best = coalition_value(m, m.firm_ids, m.worker_ids)
-    if value != best:
-        raise NotOptimalError(
-            f"matching value {value} is below the optimum {best}"
-        )
-    return value
+def _pair_rows(
+    m: Market, firm_of: Sequence[int], *, same_firm: bool
+) -> list[CoreConstraint]:
+    """Rows y_k - y_j >= a[firm_of[j]][k] - a[firm_of[j]][j] over the ordered
+    worker pairs j != k of different firms, or of one firm with ``same_firm``."""
+    rows = []
+    for j in range(m.n_workers):
+        a_j = m.matrix[firm_of[j]]
+        for k in range(m.n_workers):
+            if k != j and (firm_of[k] == firm_of[j]) == same_firm:
+                rows.append(CoreConstraint(j + 1, k + 1, a_j[k] - a_j[j]))
+    return rows
 
 
 def core_constraints(bm: BalancedMarket, mu: Matching) -> CoreConstraintSystem:
@@ -132,24 +137,25 @@ def core_constraints(bm: BalancedMarket, mu: Matching) -> CoreConstraintSystem:
 
     Rows: 0 <= y_j <= a[mu(j)][j] for every worker, and
     y_k - y_j >= a[mu(j)][k] - a[mu(j)][j] for workers of different firms.
+    The rows certify ``mu``: by LP duality a saturating matching is optimal
+    exactly when some salary vector satisfies them, so one Bellman-Ford pass
+    that finds a positive cycle raises ``NotOptimalError``.
     """
     m = bm.market
-    check_optimal(m, mu)
     firm_of, _ = _saturating_arrays(bm, mu)
     n = m.n_workers
-    rows: list[CoreConstraint] = []
-    for j in range(n):
-        rows.append(CoreConstraint(0, j + 1, ZERO))
-    for j in range(n):
-        rows.append(CoreConstraint(j + 1, 0, -m.matrix[firm_of[j]][j]))
-    for j in range(n):
-        a_j = m.matrix[firm_of[j]]
-        for k in range(n):
-            if k == j or firm_of[k] == firm_of[j]:
-                continue
-            rows.append(CoreConstraint(j + 1, k + 1, a_j[k] - a_j[j]))
-    assert len(rows) <= n * n + 2 * n
-    return CoreConstraintSystem(bm, mu, tuple(firm_of), tuple(rows))
+    rows = [CoreConstraint(0, j + 1, ZERO) for j in range(n)]
+    rows += [CoreConstraint(j + 1, 0, -m.matrix[firm_of[j]][j]) for j in range(n)]
+    rows += _pair_rows(m, firm_of, same_firm=False)
+    system = CoreConstraintSystem(bm, mu, tuple(firm_of), tuple(rows))
+    try:
+        _longest_paths(n + 1, system.scaled_rows()[1])
+    except CorematchError:
+        raise NotOptimalError(
+            f"matching value {mu.value(m)} is not optimal: "
+            "its core system has a positive cycle"
+        ) from None
+    return system
 
 
 def is_in_worker_core(system: CoreConstraintSystem, y: Sequence[Fraction]) -> bool:
@@ -163,11 +169,8 @@ def firm_payoffs(
     """The allocation induced by salaries ``y``: x_i = sum of a[i][j] - y_j
     over the workers matched to firm i, mapped back to the original market."""
     m = bm.market
-    firm_of, workers_of = _saturating_arrays(bm, mu)
-    if len(y) == bm.n_original_workers:
-        y = bm.extend_worker_vector(y)
-    if len(y) != m.n_workers:
-        raise CorematchError(f"expected {m.n_workers} salaries, got {len(y)}")
+    _, workers_of = _saturating_arrays(bm, mu)
+    y = bm.extend_worker_vector(y)
     x = []
     for i in range(bm.n_original_firms):
         x.append(sum((m.matrix[i][j] - y[j] for j in workers_of[i]), ZERO))
@@ -261,7 +264,11 @@ def is_competitive_equilibrium(
 
 def market_core_system(m: Market) -> CoreConstraintSystem:
     """The worker-space core system of ``m``: balanced, at its optimal matching."""
-    bm = balance(m)
+    return _system_at_optimum(balance(m))
+
+
+def _system_at_optimum(bm: BalancedMarket) -> CoreConstraintSystem:
+    """The core system of a balanced market at its optimal matching."""
     return core_constraints(bm, optimal_matching(bm.market).matching)
 
 

@@ -15,8 +15,9 @@ from typing import Sequence
 
 from .core import (
     Allocation,
-    CoreConstraint,
     CoreConstraintSystem,
+    _pair_rows,
+    _system_at_optimum,
     core_constraints,
     firm_payoffs,
 )
@@ -50,13 +51,14 @@ class BuyerMarket:
         job = Market(self.seller_ids, self.capacities, self.buyer_ids, transposed)
         object.__setattr__(self, "matrix", tuple(tuple(r) for r in self.matrix))
         object.__setattr__(self, "_job", job)
+        object.__setattr__(self, "_balanced", balance(job))
 
     def as_job_market(self) -> Market:
         """The transposed market: sellers act as capacitated firms."""
         return self._job
 
     def balanced(self) -> BalancedMarket:
-        return balance(self._job)
+        return self._balanced
 
 
 def optimal_assignment(b: BuyerMarket) -> Matching:
@@ -70,10 +72,9 @@ def buyer_core_constraints(
 ) -> CoreConstraintSystem:
     """The buyer-space core: boxes plus difference constraints between buyers
     of different sellers."""
-    bm = b.balanced()
     if mu is None:
-        mu = optimal_matching(bm.market).matching
-    return core_constraints(bm, mu)
+        return _system_at_optimum(b.balanced())
+    return core_constraints(b.balanced(), mu)
 
 
 def ce_constraints(
@@ -83,16 +84,9 @@ def ce_constraints(
     difference constraints between buyers of the same seller, which force a
     single per-unit price per seller."""
     base = buyer_core_constraints(b, mu)
-    m = base.bm.market
-    firm_of = base.firm_of
-    extra = []
-    for j in range(m.n_workers):
-        row_j = m.matrix[firm_of[j]]
-        for k in range(m.n_workers):
-            if k != j and firm_of[j] == firm_of[k]:
-                extra.append(CoreConstraint(j + 1, k + 1, row_j[k] - row_j[j]))
+    extra = _pair_rows(base.bm.market, base.firm_of, same_firm=True)
     return CoreConstraintSystem(
-        base.bm, base.matching, firm_of, base.constraints + tuple(extra)
+        base.bm, base.matching, base.firm_of, base.constraints + tuple(extra)
     )
 
 
@@ -109,10 +103,7 @@ def ce_prices(
 ) -> tuple[Fraction, ...]:
     """Per-seller unit prices supporting a CE payoff vector."""
     system = ce_constraints(b, mu)
-    bm = system.bm
-    if len(x) == bm.n_original_workers:
-        x = bm.extend_worker_vector(x)
-    return _prices(system, x)
+    return _prices(system, system.bm.extend_worker_vector(x))
 
 
 def _prices(
@@ -139,7 +130,7 @@ class CEVertex:
     prices: tuple[Fraction, ...]
 
 
-def ce_vertices(b: BuyerMarket, *, limit: int = 6) -> tuple[CEVertex, ...]:
+def ce_vertices(b: BuyerMarket, *, limit: int = 8) -> tuple[CEVertex, ...]:
     """All extreme CE payoff vectors (projected to the original buyers).
 
     The max-min scan runs on the CE constraint system, whose predecessor
@@ -148,7 +139,7 @@ def ce_vertices(b: BuyerMarket, *, limit: int = 6) -> tuple[CEVertex, ...]:
     ``maxmin.vertices_of_system`` is the test oracle.
     """
     system = ce_constraints(b)
-    scale, _, _, witnesses = _scan(system, limit)
+    scale, _, _, witnesses = _scan(system, limit, agents="buyers")
     out = []
     for vec in sorted(witnesses):
         x = tuple(Fraction(v, scale) for v in vec)
@@ -162,9 +153,7 @@ def extended_tight_digraph(
     """Tight digraph over buyers + ground node built from all CE constraints;
     same-seller equalities contribute arcs in both directions."""
     system = ce_constraints(b, mu)
-    bm = system.bm
-    if len(x) == bm.n_original_workers:
-        x = bm.extend_worker_vector(x)
+    x = system.bm.extend_worker_vector(x)
     if not system.contains(x):
         raise NotInCoreError(f"{tuple(x)} is not a CE payoff vector")
     return TightDigraph(system.n_workers, system.tight_constraints(x))

@@ -183,10 +183,13 @@ class BalancedMarket:
         return tuple(values[: self.n_original_workers])
 
     def extend_worker_vector(self, values: Sequence) -> tuple:
-        """Extend an original-space worker vector with zeros for dummies."""
+        """A balanced-space worker vector: an original-space vector extended
+        with zeros for the dummies, or a balanced-space vector as is."""
+        if len(values) == self.market.n_workers:
+            return tuple(values)
         if len(values) != self.n_original_workers:
             raise CorematchError(
-                f"expected {self.n_original_workers} worker payoffs, got {len(values)}"
+                f"expected {self.market.n_workers} salaries, got {len(values)}"
             )
         return tuple(values) + (ZERO,) * len(self.dummy_worker_ids)
 

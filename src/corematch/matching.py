@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
@@ -277,29 +276,12 @@ def all_optimal_matchings(m: Market, limit: int = 10) -> tuple[Matching, ...]:
 
 def coalition_value(m: Market, firms: Iterable[str], workers: Iterable[str]) -> Fraction:
     """Optimal matching value of the submarket on the given coalition."""
-    fmask = 0
-    for f in firms:
-        fmask |= 1 << m.firm_index(f)
-    wmask = 0
-    for w in workers:
-        wmask |= 1 << m.worker_index(w)
-    return _coalition_value_masks(m, fmask, wmask)
-
-
-# Keyed on whole markets, so unbounded it would keep every market of a
-# long-running process alive; repeated queries on one market still hit.
-COALITION_CACHE_SIZE = 128
-
-
-@lru_cache(maxsize=COALITION_CACHE_SIZE)
-def _coalition_value_masks(m: Market, fmask: int, wmask: int) -> Fraction:
-    rows = [i for i in range(m.n_firms) if fmask >> i & 1]
-    cols = [j for j in range(m.n_workers) if wmask >> j & 1]
+    rows = sorted({m.firm_index(f) for f in firms})
+    cols = sorted({m.worker_index(w) for w in workers})
     if not rows or not cols:
         return ZERO
     matrix = [[m.matrix[i][j] for j in cols] for i in rows]
-    caps = [m.capacities[i] for i in rows]
-    return _market_value(matrix, caps)
+    return _market_value(matrix, [m.capacities[i] for i in rows])
 
 
 def enumerate_all_matchings(m: Market, limit: int = 8):

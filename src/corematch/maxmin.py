@@ -21,10 +21,10 @@ from itertools import permutations
 from typing import Sequence
 
 from . import _kernels
-from .core import Allocation, CoreConstraintSystem, core_constraints, firm_payoffs
-from .errors import CorematchError, LimitExceededError
+from .core import Allocation, CoreConstraintSystem, _system_at_optimum, firm_payoffs
+from .errors import LimitExceededError
 from .market import BalancedMarket
-from .matching import Matching, matching_arrays, optimal_matching
+from .matching import Matching, matching_arrays
 
 ZERO = Fraction(0)
 
@@ -95,10 +95,15 @@ def maxmin_vector(
     return tuple(y[k] for k in range(m.n_workers))
 
 
-def _scan(system: CoreConstraintSystem, limit: int, collect_rows: bool = False):
+def _scan(
+    system: CoreConstraintSystem,
+    limit: int,
+    collect_rows: bool = False,
+    agents: str = "workers",
+):
     """Run the extended-order scan on the integer rows of ``system``."""
     n = system.n_workers
-    _check_limit(n, limit)
+    _check_limit(n, limit, agents)
     scale, rows = system.scaled_rows()
     perms = list(permutations(range(n)))
     table, witnesses = _kernels.scan_orders(perms, n, rows, collect_rows)
@@ -113,21 +118,17 @@ def _order_from_code(m, perm, bits: int) -> ExtendedOrder:
     )
 
 
-def _check_limit(n: int, limit: int) -> None:
+def _check_limit(n: int, limit: int, agents: str = "workers") -> None:
     if n > limit:
         raise LimitExceededError(
-            f"{n} workers exceeds the enumeration limit {limit}"
+            f"{n} {agents} exceeds the enumeration limit {limit}"
         )
-
-
-def _core_system(bm: BalancedMarket) -> CoreConstraintSystem:
-    return core_constraints(bm, optimal_matching(bm.market).matching)
 
 
 def enumerate_extremes(bm: BalancedMarket, *, limit: int = 8) -> ExtremeSet:
     """All extreme competitive salary vectors, with every witnessing extended
     order and the induced allocation on the original market."""
-    system = _core_system(bm)
+    system = _system_at_optimum(bm)
     scale, perms, _, witnesses = _scan(system, limit)
     m = bm.market
     points = []
@@ -149,7 +150,7 @@ def maxmin_table(
 ) -> list[tuple[ExtendedOrder, tuple[Fraction, ...], bool]]:
     """Every extended order with its max-min vector and core membership flag,
     in enumeration order (permutations lexicographic, min flags first)."""
-    scale, perms, table, _ = _scan(_core_system(bm), limit, collect_rows=True)
+    scale, perms, table, _ = _scan(_system_at_optimum(bm), limit, collect_rows=True)
     return [
         (
             _order_from_code(bm.market, perms[pi], bits),
@@ -169,12 +170,8 @@ def witnesses_for(
     other length raises. Only extreme competitive salary vectors have
     witnesses; anything else yields an empty tuple with a warning.
     """
-    m = bm.market
-    if len(y) == bm.n_original_workers:
-        y = bm.extend_worker_vector(y)
-    if len(y) != m.n_workers:
-        raise CorematchError(f"expected {m.n_workers} salaries, got {len(y)}")
-    scale, perms, _, witnesses = _scan(_core_system(bm), limit)
+    y = bm.extend_worker_vector(y)
+    scale, perms, _, witnesses = _scan(_system_at_optimum(bm), limit)
     key = []
     for v in y:
         scaled = Fraction(v) * scale
@@ -190,7 +187,7 @@ def witnesses_for(
             stacklevel=2,
         )
         return ()
-    return tuple(_order_from_code(m, perms[pi], bits) for pi, bits in codes)
+    return tuple(_order_from_code(bm.market, perms[pi], bits) for pi, bits in codes)
 
 
 def vertices_of_system(
@@ -215,4 +212,4 @@ def brute_force_vertices(
     bm: BalancedMarket, *, limit: int = 6
 ) -> frozenset[tuple[Fraction, ...]]:
     """The exact vertex set of the competitive salary polytope of ``bm``."""
-    return vertices_of_system(_core_system(bm), limit=limit)
+    return vertices_of_system(_system_at_optimum(bm), limit=limit)

@@ -31,13 +31,15 @@ from corematch import (
     salary_bounds,
     surplus_matrix,
 )
-from corematch.matching import Matching
+from corematch.matching import Matching, enumerate_all_matchings
 from conftest import fr
 from helpers import (
     brute_force_core_membership,
+    brute_force_optimum,
     clone_value_min_salaries,
     marginal_max_salaries,
     markets,
+    matching_value,
     random_balanced_market,
     random_market,
 )
@@ -91,6 +93,28 @@ def test_non_optimal_reference_rejected(bench):
     bad = Matching((("f1", "w1"), ("f1", "w3"), ("f2", "w2")))
     with pytest.raises(NotOptimalError):
         core_constraints(bm, bad)
+
+
+def test_core_system_certifies_exactly_the_optimal_matchings():
+    # every saturating matching of small balanced markets, ties included
+    rng = Random(151)
+    rejected = accepted = 0
+    for t in range(48):
+        m = random_balanced_market(rng, 2 + t % 6, max_num=rng.choice((2, 8)))
+        bm = balance(m)
+        best = brute_force_optimum(m)
+        for pairs in enumerate_all_matchings(m):
+            if len(pairs) < m.n_workers:
+                continue
+            mu = Matching(tuple((m.firm_ids[i], m.worker_ids[j]) for i, j in pairs))
+            if matching_value(m, pairs) < best:
+                with pytest.raises(NotOptimalError):
+                    core_constraints(bm, mu)
+                rejected += 1
+            else:
+                assert core_constraints(bm, mu).matching == mu
+                accepted += 1
+    assert rejected > 1000 and accepted > 48
 
 
 def test_worker_core_membership(bench):

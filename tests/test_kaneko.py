@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from corematch import (
     BuyerMarket,
+    LimitExceededError,
     NotInCoreError,
     balance,
     brute_force_vertices,
@@ -83,6 +84,24 @@ def test_ce_vertices_single_pair():
     b = BuyerMarket(("b1",), ("s1",), (1,), fr([[5]]))
     got = {v.buyer_payoffs for v in ce_vertices(b)}
     assert got == {(F(0),), (F(5),)}
+
+
+def test_ce_vertices_scan_up_to_eight_buyers():
+    # one seller with a unit per buyer: the price ranges over [0, 1]
+    b = BuyerMarket(tuple(f"b{i}" for i in range(1, 8)), ("s1",), (7,),
+                    fr([[i] for i in range(1, 8)]))
+    got = [(v.buyer_payoffs, v.prices) for v in ce_vertices(b)]
+    assert got == [
+        (tuple(F(i) for i in range(7)), (F(1),)),
+        (tuple(F(i) for i in range(1, 8)), (F(0),)),
+    ]
+
+
+def test_ce_vertices_limit_names_buyers():
+    b = BuyerMarket(tuple(f"b{i}" for i in range(1, 10)), ("s1",), (9,),
+                    fr([[i] for i in range(1, 10)]))
+    with pytest.raises(LimitExceededError, match="9 buyers exceeds .* limit 8"):
+        ce_vertices(b)
 
 
 def test_extended_tight_digraph_at_minimum(buyers):

@@ -14,12 +14,7 @@ from corematch import (
     optimal_matching,
     restrict,
 )
-from corematch.matching import (
-    COALITION_CACHE_SIZE,
-    Matching,
-    _coalition_value_masks,
-    enumerate_all_matchings,
-)
+from corematch.matching import Matching, enumerate_all_matchings
 from corematch.rationals import common_denominator
 from conftest import fr
 from helpers import (
@@ -151,22 +146,6 @@ def test_optimal_matching_certified_on_random_markets():
     rng = Random(71)
     for _ in range(30):
         assert optimal_matching(random_market(rng)).certified
-
-
-def test_coalition_cache_is_bounded():
-    rng = Random(73)
-    seen = set()
-    while len(seen) < 300:
-        m = random_market(rng)
-        if m in seen:
-            continue
-        seen.add(m)
-        coalition_value(m, m.firm_ids, m.worker_ids)
-    assert _coalition_value_masks.cache_info().currsize <= COALITION_CACHE_SIZE
-    coalition_value(m, m.firm_ids, m.worker_ids)
-    hits = _coalition_value_masks.cache_info().hits
-    coalition_value(m, m.firm_ids, m.worker_ids)
-    assert _coalition_value_masks.cache_info().hits == hits + 1
 
 
 def test_balanced_bench_unchanged(bench):
