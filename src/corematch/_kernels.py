@@ -2,7 +2,7 @@
 
 Both kernels take rows (tail, head, rhs) meaning y[head] - y[tail] >= rhs
 over nodes 0..n with y[0] = 0, scaled to a common denominator
-(``CoreConstraintSystem.scaled_rows``), so the arithmetic below is exact
+(``CoreConstraintSystem.rows``), so the arithmetic below is exact
 integer arithmetic with no magnitude limit.
 """
 

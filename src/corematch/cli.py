@@ -27,8 +27,8 @@ from .errors import CorematchError
 from .game import build_game
 from .kaneko import (
     BuyerMarket,
+    _ce_system,
     buyer_core_constraints,
-    ce_constraints,
     ce_vertices,
     extended_tight_digraph,
     optimal_assignment,
@@ -367,27 +367,22 @@ def _cmd_match(m: Market, fmt) -> list[str]:
     return lines
 
 
-def _job_system(m: Market):
-    system = market_core_system(m)
-    return system.bm, system.matching, system
-
-
 def _cmd_core_check(m: Market, text: str, fmt) -> list[str]:
     y = _parse_vector(text, m.n_workers, "salaries")
-    bm, mu, system = _job_system(m)
-    inside = is_in_worker_core(system, bm.extend_worker_vector(y))
+    system = market_core_system(m)
+    inside = is_in_worker_core(system, y)
     lines = [f"in core: {'yes' if inside else 'no'}"]
     if inside:
-        alloc = firm_payoffs(bm, mu, y)
+        alloc = firm_payoffs(system.bm, system.matching, y)
         lines.append(_alloc_line("firm payoffs", m.firm_ids, alloc.firm_payoffs, fmt))
     return lines
 
 
 def _cmd_salaries(m: Market, want_min: bool, fmt) -> list[str]:
-    bm, mu, system = _job_system(m)
-    lowest, highest = salary_bounds(system)
-    y = bm.strip_worker_vector(lowest if want_min else highest)
-    alloc = firm_payoffs(bm, mu, y)
+    system = market_core_system(m)
+    y = system.least if want_min else salary_bounds(system)[1]
+    y = system.bm.strip_worker_vector(y)
+    alloc = firm_payoffs(system.bm, system.matching, y)
     return [
         _alloc_line("salaries", m.worker_ids, y, fmt),
         _alloc_line("firm payoffs", m.firm_ids, alloc.firm_payoffs, fmt),
@@ -437,8 +432,7 @@ def _cmd_extremes(m: Market, args, fmt) -> list[str]:
 
 def _cmd_digraph(m: Market, text: str, dot: bool) -> list[str]:
     y = _parse_vector(text, m.n_workers, "salaries")
-    bm, mu, system = _job_system(m)
-    digraph = tight_digraph_of_system(system, bm.extend_worker_vector(y))
+    digraph = tight_digraph_of_system(market_core_system(m), y)
     if dot:
         return [to_dot(digraph).rstrip("\n")]
     return [f"{t} -> {h}" for t, h in digraph.arc_pairs()]
@@ -491,17 +485,15 @@ def _cmd_kaneko(b: BuyerMarket, args, fmt) -> list[str]:
             lines.append(f"{x} | {p}")
         return lines
     x = _parse_vector(args.payoffs, len(b.buyer_ids), "buyer payoffs")
-    bm = b.balanced()
-    mu = optimal_assignment(b)
     if sub == "digraph":
-        digraph = extended_tight_digraph(b, mu, x)
+        digraph = extended_tight_digraph(b, optimal_assignment(b), x)
         if args.dot:
             return [to_dot(digraph).rstrip("\n")]
         return [f"{t} -> {h}" for t, h in digraph.arc_pairs()]
     if sub == "ce-check":
-        xe = bm.extend_worker_vector(x)
-        in_core = buyer_core_constraints(b, mu).contains(xe)
-        in_ce = ce_constraints(b, mu).contains(xe)
+        core = buyer_core_constraints(b)
+        in_core = core.contains(x)
+        in_ce = _ce_system(core).contains(x)
         return [
             f"in core: {'yes' if in_core else 'no'}",
             f"in CE set: {'yes' if in_ce else 'no'}",

@@ -18,7 +18,7 @@ independent oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -27,11 +27,11 @@ from .game import GameTable
 from .market import BalancedMarket, Market, RawMarket, balance, surplus_matrix
 from .matching import (
     Matching,
+    _scaled,
     all_optimal_matchings,
     matching_arrays,
     optimal_matching,
 )
-from .rationals import common_denominator
 
 ZERO = Fraction(0)
 
@@ -56,54 +56,54 @@ class CoreConstraint:
     head: int
     rhs: Fraction
 
-    def satisfied_by(self, y: Sequence[Fraction]) -> bool:
-        return self.slack(y) >= 0
-
-    def tight_at(self, y: Sequence[Fraction]) -> bool:
-        return self.slack(y) == 0
-
-    def slack(self, y: Sequence[Fraction]) -> Fraction:
-        head = ZERO if self.head == 0 else y[self.head - 1]
-        tail = ZERO if self.tail == 0 else y[self.tail - 1]
-        return head - tail - self.rhs
-
 
 @dataclass(frozen=True)
 class CoreConstraintSystem:
-    """The worker-space core of a balanced market at a reference matching."""
+    """The worker-space core of a balanced market at a reference matching.
+
+    ``rows`` holds integer triples (tail, head, rhs), each meaning
+    y[head] - y[tail] >= rhs / scale. Building a system runs one Bellman-Ford
+    pass over them: a positive cycle raises ``CorematchError``, and the
+    distances give ``least``, the least solution of the system.
+    """
 
     bm: BalancedMarket
     matching: Matching
     firm_of: tuple[int, ...]
-    constraints: tuple[CoreConstraint, ...]
+    scale: int
+    rows: tuple[tuple[int, int, int], ...]
+    least: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        dist = _longest_paths(self.n_workers + 1, self.rows)
+        least = tuple(Fraction(d, self.scale) for d in dist[1:])
+        object.__setattr__(self, "least", least)
 
     @property
     def n_workers(self) -> int:
         return self.bm.market.n_workers
 
+    @property
+    def constraints(self) -> tuple[CoreConstraint, ...]:
+        """The rows as exact ``CoreConstraint`` values, in row order."""
+        s = self.scale
+        return tuple(CoreConstraint(t, h, Fraction(w, s)) for t, h, w in self.rows)
+
     def contains(self, y: Sequence[Fraction]) -> bool:
-        """Exact membership test for the competitive salary polytope."""
-        if len(y) != self.n_workers:
-            raise CorematchError(
-                f"expected {self.n_workers} salaries, got {len(y)}"
-            )
-        return all(c.satisfied_by(y) for c in self.constraints)
+        """Exact membership test for the competitive salary polytope; ``y``
+        holds the salaries of the original or of the balanced workers."""
+        d, (v,) = _scaled([(0,) + self.bm.extend_worker_vector(y)])
+        s = self.scale
+        return all((v[h] - v[t]) * s >= w * d for t, h, w in self.rows)
 
     def tight_constraints(self, y: Sequence[Fraction]) -> tuple[CoreConstraint, ...]:
-        return tuple(c for c in self.constraints if c.tight_at(y))
-
-    def upper_bound(self, j: int) -> Fraction:
-        """a[j's matched firm][j], the box upper bound of worker j."""
-        return self.bm.market.matrix[self.firm_of[j]][j]
-
-    def scaled_rows(self) -> tuple[int, list[tuple[int, int, int]]]:
-        """The rows as integer (tail, head, rhs) triples, and the common
-        denominator of the right-hand sides that scales them."""
-        scale = common_denominator(c.rhs for c in self.constraints)
-        return scale, [
-            (c.tail, c.head, c.rhs.numerator * (scale // c.rhs.denominator))
-            for c in self.constraints
-        ]
+        d, (v,) = _scaled([(0,) + self.bm.extend_worker_vector(y)])
+        s = self.scale
+        return tuple(
+            CoreConstraint(t, h, Fraction(w, s))
+            for t, h, w in self.rows
+            if (v[h] - v[t]) * s == w * d
+        )
 
 
 def _saturating_arrays(bm: BalancedMarket, mu: Matching) -> tuple[list, list]:
@@ -119,16 +119,18 @@ def _saturating_arrays(bm: BalancedMarket, mu: Matching) -> tuple[list, list]:
 
 
 def _pair_rows(
-    m: Market, firm_of: Sequence[int], *, same_firm: bool
-) -> list[CoreConstraint]:
+    a: Sequence[Sequence[int]], firm_of: Sequence[int], *, same_firm: bool
+) -> list[tuple[int, int, int]]:
     """Rows y_k - y_j >= a[firm_of[j]][k] - a[firm_of[j]][j] over the ordered
-    worker pairs j != k of different firms, or of one firm with ``same_firm``."""
+    worker pairs j != k of different firms, or of one firm with ``same_firm``,
+    on the integer matrix ``a``."""
     rows = []
-    for j in range(m.n_workers):
-        a_j = m.matrix[firm_of[j]]
-        for k in range(m.n_workers):
+    n = len(firm_of)
+    for j in range(n):
+        a_j = a[firm_of[j]]
+        for k in range(n):
             if k != j and (firm_of[k] == firm_of[j]) == same_firm:
-                rows.append(CoreConstraint(j + 1, k + 1, a_j[k] - a_j[j]))
+                rows.append((j + 1, k + 1, a_j[k] - a_j[j]))
     return rows
 
 
@@ -136,26 +138,26 @@ def core_constraints(bm: BalancedMarket, mu: Matching) -> CoreConstraintSystem:
     """Build the worker-space core system for ``bm`` at optimal matching ``mu``.
 
     Rows: 0 <= y_j <= a[mu(j)][j] for every worker, and
-    y_k - y_j >= a[mu(j)][k] - a[mu(j)][j] for workers of different firms.
+    y_k - y_j >= a[mu(j)][k] - a[mu(j)][j] for workers of different firms,
+    all scaled by the common denominator of the matrix.
     The rows certify ``mu``: by LP duality a saturating matching is optimal
-    exactly when some salary vector satisfies them, so one Bellman-Ford pass
-    that finds a positive cycle raises ``NotOptimalError``.
+    exactly when some salary vector satisfies them, so the Bellman-Ford pass
+    that builds the system raises ``NotOptimalError`` on a positive cycle.
     """
     m = bm.market
     firm_of, _ = _saturating_arrays(bm, mu)
+    scale, a = _scaled(m.matrix)
     n = m.n_workers
-    rows = [CoreConstraint(0, j + 1, ZERO) for j in range(n)]
-    rows += [CoreConstraint(j + 1, 0, -m.matrix[firm_of[j]][j]) for j in range(n)]
-    rows += _pair_rows(m, firm_of, same_firm=False)
-    system = CoreConstraintSystem(bm, mu, tuple(firm_of), tuple(rows))
+    rows = [(0, j + 1, 0) for j in range(n)]
+    rows += [(j + 1, 0, -a[firm_of[j]][j]) for j in range(n)]
+    rows += _pair_rows(a, firm_of, same_firm=False)
     try:
-        _longest_paths(n + 1, system.scaled_rows()[1])
+        return CoreConstraintSystem(bm, mu, tuple(firm_of), scale, tuple(rows))
     except CorematchError:
         raise NotOptimalError(
             f"matching value {mu.value(m)} is not optimal: "
             "its core system has a positive cycle"
         ) from None
-    return system
 
 
 def is_in_worker_core(system: CoreConstraintSystem, y: Sequence[Fraction]) -> bool:
@@ -279,22 +281,16 @@ def salary_bounds(
     as (lowest, highest) salary vectors of its balanced market.
 
     The least solution is the longest-path distance from node 0 along arcs
-    tail -> head of weight rhs; the greatest is minus the longest-path
-    distance from node 0 along the reversed arcs. Both run Bellman-Ford over
-    integers scaled by the common denominator of the right-hand sides. At an
-    optimal matching the core is never empty, so a positive cycle raises.
+    tail -> head of weight rhs, kept from the pass that built the system; the
+    greatest is minus the longest-path distance from node 0 along the
+    reversed arcs, by one more Bellman-Ford pass over the integer rows.
     """
-    scale, arcs = system.scaled_rows()
-    n_nodes = system.n_workers + 1
-    lowest = _longest_paths(n_nodes, arcs)
-    highest = _longest_paths(n_nodes, [(head, tail, w) for tail, head, w in arcs])
-    return (
-        tuple(Fraction(d, scale) for d in lowest[1:]),
-        tuple(Fraction(-d, scale) for d in highest[1:]),
-    )
+    arcs = [(head, tail, w) for tail, head, w in system.rows]
+    dist = _longest_paths(system.n_workers + 1, arcs)
+    return system.least, tuple(Fraction(-d, system.scale) for d in dist[1:])
 
 
-def _longest_paths(n_nodes: int, arcs: list[tuple[int, int, int]]) -> list[int]:
+def _longest_paths(n_nodes: int, arcs: Sequence[tuple[int, int, int]]) -> list[int]:
     """Longest-path distances from node 0 by Bellman-Ford, at most n_nodes
     passes: a change in the last pass can only come from a positive cycle."""
     dist: list[int | None] = [None] * n_nodes
@@ -326,7 +322,7 @@ def min_competitive_salaries(m: Market) -> tuple[Fraction, ...]:
     """The firm-optimal salary vector: the least solution of the core system
     (the paper's clone values, kept as a test oracle)."""
     system = market_core_system(m)
-    return system.bm.strip_worker_vector(salary_bounds(system)[0])
+    return system.bm.strip_worker_vector(system.least)
 
 
 @dataclass(frozen=True)
@@ -389,5 +385,4 @@ def max_valid_decrease(m: Market, firm_id: str) -> Fraction:
         raise CorematchError(
             f"firm {firm_id!r} hires nobody under the optimal matching"
         )
-    lower, _ = salary_bounds(system)
-    return min(m.matrix[i0][j] - lower[j] for j in matched)
+    return min(m.matrix[i0][j] - system.least[j] for j in matched)

@@ -9,10 +9,11 @@ seller and can be strictly smaller than the core.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
+from . import _kernels
 from .core import (
     Allocation,
     CoreConstraintSystem,
@@ -23,7 +24,7 @@ from .core import (
 )
 from .errors import CorematchError, NotInCoreError
 from .market import BalancedMarket, Market, balance
-from .matching import Matching, matching_arrays, optimal_matching
+from .matching import Matching, _scaled, matching_arrays, optimal_matching
 from .maxmin import _scan
 from .tight_digraph import TightDigraph
 
@@ -83,11 +84,14 @@ def ce_constraints(
     """The competitive-equilibrium payoff set: the core constraints plus the
     difference constraints between buyers of the same seller, which force a
     single per-unit price per seller."""
-    base = buyer_core_constraints(b, mu)
-    extra = _pair_rows(base.bm.market, base.firm_of, same_firm=True)
-    return CoreConstraintSystem(
-        base.bm, base.matching, base.firm_of, base.constraints + tuple(extra)
-    )
+    return _ce_system(buyer_core_constraints(b, mu))
+
+
+def _ce_system(core: CoreConstraintSystem) -> CoreConstraintSystem:
+    """The CE system of a buyer core system: its rows plus the same-seller rows."""
+    _, a = _scaled(core.bm.market.matrix)
+    extra = _pair_rows(a, core.firm_of, same_firm=True)
+    return replace(core, rows=core.rows + tuple(extra))
 
 
 def seller_payoffs(
@@ -102,14 +106,14 @@ def ce_prices(
     b: BuyerMarket, x: Sequence[Fraction], mu: Matching | None = None
 ) -> tuple[Fraction, ...]:
     """Per-seller unit prices supporting a CE payoff vector."""
-    system = ce_constraints(b, mu)
-    return _prices(system, system.bm.extend_worker_vector(x))
+    return _prices(ce_constraints(b, mu), x)
 
 
 def _prices(
     system: CoreConstraintSystem, x: Sequence[Fraction]
 ) -> tuple[Fraction, ...]:
-    """Prices of a balanced-space payoff vector in the CE system ``system``."""
+    """Prices of a payoff vector in the CE system ``system``."""
+    x = system.bm.extend_worker_vector(x)
     if not system.contains(x):
         raise NotInCoreError(f"{tuple(x)} is not a CE payoff vector")
     m = system.bm.market
@@ -136,13 +140,32 @@ def ce_vertices(b: BuyerMarket, *, limit: int = 8) -> tuple[CEVertex, ...]:
     The max-min scan runs on the CE constraint system, whose predecessor
     bounds span all buyers, same seller or not. That system keeps both box
     rows for every buyer, so the scan returns exactly its vertex set;
-    ``maxmin.vertices_of_system`` is the test oracle.
+    ``maxmin.vertices_of_system`` is the test oracle. Buyers whose box is a
+    single point (dummies, buyers of the dummy seller, zero values) are
+    folded into node 0 first: their rows become rows on node 0 shifted by
+    the pinned value, so ``limit`` counts only the buyers that are scanned.
     """
     system = ce_constraints(b)
-    scale, _, _, witnesses = _scan(system, limit, agents="buyers")
+    n = system.n_workers
+    low, high, _ = _kernels._scan_tables(n, system.rows)
+    # y[k] = z[node[k]] + shift[k] for the scanned vector z (z[0] = 0): free
+    # buyers become scan nodes 1, 2, ... and pinned ones node 0
+    free = [k + 1 for k in range(n) if low[k] != high[k]]
+    node = [0] * (n + 1)
+    for new, k in enumerate(free, 1):
+        node[k] = new
+    shift = [0] + [lo if lo == hi else 0 for lo, hi in zip(low, high)]
+    rows = [
+        (node[t], node[h], w - shift[h] + shift[t])
+        for t, h, w in system.rows
+        if node[t] != node[h]
+    ]
+    _, _, witnesses = _scan(len(free), rows, limit, agents="buyers")
     out = []
-    for vec in sorted(witnesses):
-        x = tuple(Fraction(v, scale) for v in vec)
+    # pinned salaries are constant, so z's order is the order of the vertices
+    for z in sorted(witnesses):
+        z = (0,) + z
+        x = tuple(Fraction(z[i] + d, system.scale) for i, d in zip(node, shift))[1:]
         out.append(CEVertex(system.bm.strip_worker_vector(x), _prices(system, x)))
     return tuple(out)
 
@@ -153,9 +176,9 @@ def extended_tight_digraph(
     """Tight digraph over buyers + ground node built from all CE constraints;
     same-seller equalities contribute arcs in both directions."""
     system = ce_constraints(b, mu)
-    x = system.bm.extend_worker_vector(x)
     if not system.contains(x):
-        raise NotInCoreError(f"{tuple(x)} is not a CE payoff vector")
+        x = system.bm.extend_worker_vector(x)
+        raise NotInCoreError(f"{x} is not a CE payoff vector")
     return TightDigraph(system.n_workers, system.tight_constraints(x))
 
 

@@ -24,7 +24,7 @@ from . import _kernels
 from .core import Allocation, CoreConstraintSystem, _system_at_optimum, firm_payoffs
 from .errors import LimitExceededError
 from .market import BalancedMarket
-from .matching import Matching, matching_arrays
+from .matching import Matching, _scaled, matching_arrays
 
 ZERO = Fraction(0)
 
@@ -95,19 +95,12 @@ def maxmin_vector(
     return tuple(y[k] for k in range(m.n_workers))
 
 
-def _scan(
-    system: CoreConstraintSystem,
-    limit: int,
-    collect_rows: bool = False,
-    agents: str = "workers",
-):
-    """Run the extended-order scan on the integer rows of ``system``."""
-    n = system.n_workers
+def _scan(n: int, rows, limit: int, collect_rows=False, agents="workers"):
+    """Run the extended-order scan over integer rows on nodes 0..n."""
     _check_limit(n, limit, agents)
-    scale, rows = system.scaled_rows()
     perms = list(permutations(range(n)))
     table, witnesses = _kernels.scan_orders(perms, n, rows, collect_rows)
-    return scale, perms, table, witnesses
+    return perms, table, witnesses
 
 
 def _order_from_code(m, perm, bits: int) -> ExtendedOrder:
@@ -129,11 +122,11 @@ def enumerate_extremes(bm: BalancedMarket, *, limit: int = 8) -> ExtremeSet:
     """All extreme competitive salary vectors, with every witnessing extended
     order and the induced allocation on the original market."""
     system = _system_at_optimum(bm)
-    scale, perms, _, witnesses = _scan(system, limit)
+    perms, _, witnesses = _scan(system.n_workers, system.rows, limit)
     m = bm.market
     points = []
     for vec in sorted(witnesses):
-        salaries = tuple(Fraction(v, scale) for v in vec)
+        salaries = tuple(Fraction(v, system.scale) for v in vec)
         orders = tuple(
             _order_from_code(m, perms[pi], bits) for pi, bits in witnesses[vec]
         )
@@ -150,11 +143,12 @@ def maxmin_table(
 ) -> list[tuple[ExtendedOrder, tuple[Fraction, ...], bool]]:
     """Every extended order with its max-min vector and core membership flag,
     in enumeration order (permutations lexicographic, min flags first)."""
-    scale, perms, table, _ = _scan(_system_at_optimum(bm), limit, collect_rows=True)
+    system = _system_at_optimum(bm)
+    perms, table, _ = _scan(system.n_workers, system.rows, limit, collect_rows=True)
     return [
         (
             _order_from_code(bm.market, perms[pi], bits),
-            tuple(Fraction(v, scale) for v in vec),
+            tuple(Fraction(v, system.scale) for v in vec),
             ok,
         )
         for pi, bits, vec, ok in table
@@ -170,16 +164,12 @@ def witnesses_for(
     other length raises. Only extreme competitive salary vectors have
     witnesses; anything else yields an empty tuple with a warning.
     """
-    y = bm.extend_worker_vector(y)
-    scale, perms, _, witnesses = _scan(_system_at_optimum(bm), limit)
-    key = []
-    for v in y:
-        scaled = Fraction(v) * scale
-        if scaled.denominator != 1:
-            key = None
-            break
-        key.append(scaled.numerator)
-    codes = witnesses.get(tuple(key)) if key is not None else None
+    d, (v,) = _scaled([bm.extend_worker_vector(y)])
+    system = _system_at_optimum(bm)
+    perms, _, witnesses = _scan(system.n_workers, system.rows, limit)
+    # y times the system's scale is an integer vector exactly when d divides it
+    s = system.scale
+    codes = witnesses.get(tuple(x * (s // d) for x in v)) if s % d == 0 else None
     if not codes:
         warnings.warn(
             "no extended order produces this vector; it is not an extreme "
@@ -201,10 +191,9 @@ def vertices_of_system(
     """
     n = system.n_workers
     _check_limit(n, limit)
-    scale, rows = system.scaled_rows()
     return frozenset(
-        tuple(Fraction(v, scale) for v in vec)
-        for vec in _kernels.vertex_solutions(n, rows)
+        tuple(Fraction(v, system.scale) for v in vec)
+        for vec in _kernels.vertex_solutions(n, system.rows)
     )
 
 

@@ -69,15 +69,15 @@ def build_tight_digraph(
 ) -> TightDigraph:
     """The tight digraph of ``y``; raises unless y is a competitive salary
     vector of the balanced market."""
-    system = core_constraints(bm, mu)
-    return tight_digraph_of_system(system, y)
+    return tight_digraph_of_system(core_constraints(bm, mu), y)
 
 
 def tight_digraph_of_system(
     system: CoreConstraintSystem, y: Sequence[Fraction]
 ) -> TightDigraph:
     if not system.contains(y):
-        raise NotInCoreError(f"{tuple(y)} is not a competitive salary vector")
+        y = system.bm.extend_worker_vector(y)
+        raise NotInCoreError(f"{y} is not a competitive salary vector")
     return TightDigraph(system.n_workers, system.tight_constraints(y))
 
 

@@ -116,6 +116,26 @@ def markets(draw, max_firms=3, max_workers=5):
     )
 
 
+def fraction_core_rows(bm, mu, *, ce=False) -> tuple:
+    """The core system's rows (tail, head, rhs), built in Fractions straight
+    from the balanced matrix, in row order: lower boxes, upper boxes,
+    cross-firm pairs and, for the CE system, the same-firm pairs."""
+    m = bm.market
+    a = m.matrix
+    firm_of = [m.firm_index(mu.firm_of(w)) for w in m.worker_ids]
+    n = m.n_workers
+    rows = [(0, j + 1, ZERO) for j in range(n)]
+    rows += [(j + 1, 0, -a[firm_of[j]][j]) for j in range(n)]
+    for same_firm in (False, True) if ce else (False,):
+        rows += [
+            (j + 1, k + 1, a[firm_of[j]][k] - a[firm_of[j]][j])
+            for j in range(n)
+            for k in range(n)
+            if k != j and (firm_of[k] == firm_of[j]) == same_firm
+        ]
+    return tuple(rows)
+
+
 BUYER_SHAPES = ("balanced", "spare units", "short of units")
 
 

@@ -224,6 +224,50 @@ def test_kaneko_commands(buyers_file, capsys):
     assert "in core: yes" in out and "in CE set: no" in out
 
 
+def _count_calls(monkeypatch, name, modules):
+    calls = []
+    real = getattr(modules[0], name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_commands_build_one_core_system(bench_file, buyers_file, capsys, monkeypatch):
+    from corematch import core, kaneko, tight_digraph
+
+    calls = _count_calls(
+        monkeypatch, "core_constraints", (core, kaneko, tight_digraph)
+    )
+    for argv in (
+        ["kaneko", "ce-check", buyers_file, "3,2,0"],
+        ["kaneko", "digraph", buyers_file, "4,2,0"],
+        ["kaneko", "extremes", buyers_file],
+    ):
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert len(calls) == 1, argv
+
+
+def test_bellman_ford_passes_per_command(bench_file, capsys, monkeypatch):
+    from corematch import core
+
+    calls = _count_calls(monkeypatch, "_longest_paths", (core,))
+    for argv, passes in (
+        (["salaries", bench_file, "--min"], 1),
+        (["salaries", bench_file, "--max"], 2),
+        (["digraph", bench_file, "3,2,0"], 1),
+        (["extremes", bench_file], 1),
+    ):
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert len(calls) == passes, argv
+
+
 def test_mode_mismatch(bench_file, buyers_file, capsys):
     code, _, err = run(capsys, "kaneko", "extremes", bench_file)
     assert code == 1 and "buyer-seller" in err

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 
 from corematch import (
     Allocation,
-    CoreConstraint,
     CorematchError,
     Market,
     NotOptimalError,
@@ -37,6 +36,7 @@ from helpers import (
     brute_force_core_membership,
     brute_force_optimum,
     clone_value_min_salaries,
+    fraction_core_rows,
     marginal_max_salaries,
     markets,
     matching_value,
@@ -235,12 +235,43 @@ def test_salary_bounds_match_paper_oracles_generated(m):
 
 def test_salary_bounds_reject_an_empty_system(bench):
     system = market_core_system(bench)
-    # y1 >= 9 contradicts the box bound y1 <= 8
-    empty = replace(
-        system, constraints=system.constraints + (CoreConstraint(0, 1, F(9)),)
-    )
+    # y1 >= 9 contradicts the box bound y1 <= 8; building the system certifies
     with pytest.raises(CorematchError, match="positive cycle"):
+        empty = replace(system, rows=system.rows + ((0, 1, 9 * system.scale),))
         salary_bounds(empty)
+
+
+def test_rebuilt_system_solves_its_own_rows(bench):
+    system = market_core_system(bench)
+    # y1 >= 5 raises worker 1's least salary; the copy keeps no stale solution
+    raised = replace(system, rows=system.rows + ((0, 1, 5 * system.scale),))
+    assert salary_bounds(raised)[0] == (F(5), F(2), F(0))
+    assert salary_bounds(system)[0] == (F(3), F(2), F(0))
+
+
+def test_constraint_view_matches_fraction_rows():
+    rng = Random(211)
+    # balanced, padded with dummy workers, padded with a dummy firm
+    shapes = {-1: 0, 0: 0, 1: 0}
+    while min(shapes.values()) < 10:
+        m = random_market(rng, max_workers=6)
+        gap = m.total_capacity - m.n_workers
+        shapes[(gap > 0) - (gap < 0)] += 1
+        bm, mu, system = _system(m)
+        rows = tuple((c.tail, c.head, c.rhs) for c in system.constraints)
+        assert rows == fraction_core_rows(bm, mu)
+
+
+def test_bounds_of_a_spare_seat_market_pass_the_digraph_tests():
+    m = Market(("f1", "f2"), (2, 2), ("w1", "w2", "w3"), fr([[8, 6, 3], [7, 6, 4]]))
+    bm, mu, system = _system(m)
+    assert bm.market.n_workers == 4
+    lowest, highest = min_competitive_salaries(m), max_competitive_salaries(m)
+    assert len(lowest) == len(highest) == 3
+    assert is_minimum(bm, mu, lowest)
+    assert is_maximum(bm, mu, highest)
+    assert is_in_worker_core(system, lowest) and is_in_worker_core(system, highest)
+    assert not is_in_worker_core(system, (F(9), F(0), F(0)))
 
 
 def test_core_equivalences_on_random_markets():

@@ -25,6 +25,7 @@ from conftest import fr
 from helpers import (
     BUYER_SHAPES,
     buyer_markets,
+    fraction_core_rows,
     random_balanced_market,
     random_buyer_market,
     random_market,
@@ -95,6 +96,24 @@ def test_ce_vertices_scan_up_to_eight_buyers():
         (tuple(F(i) for i in range(7)), (F(1),)),
         (tuple(F(i) for i in range(1, 8)), (F(0),)),
     ]
+
+
+def test_ce_vertices_fold_pinned_buyers():
+    # one buyer against 8 units: the 7 dummy buyers are pinned at 0, so the
+    # scan runs over the one real buyer, not over 8
+    b = BuyerMarket(("b1",), ("s1", "s2", "s3"), (3, 3, 2), fr([[2, 1, 0]]))
+    assert b.balanced().market.n_workers == 8
+    got = [(v.buyer_payoffs, v.prices) for v in ce_vertices(b)]
+    assert got == [((F(2),), (F(0), F(0), F(0)))]
+
+
+def test_ce_constraint_view_matches_fraction_rows():
+    for shape in BUYER_SHAPES:
+        rng = Random(BUYER_SHAPES.index(shape) + 223)
+        for _ in range(15):
+            system = ce_constraints(random_buyer_market(rng, shape))
+            rows = tuple((c.tail, c.head, c.rhs) for c in system.constraints)
+            assert rows == fraction_core_rows(system.bm, system.matching, ce=True)
 
 
 def test_ce_vertices_limit_names_buyers():
