@@ -21,6 +21,8 @@ from .core import (
     is_competitive_equilibrium,
     is_core_allocation,
     is_in_worker_core,
+    is_maximum,
+    is_minimum,
     market_core_system,
     max_competitive_salaries,
     max_valid_decrease,
@@ -76,10 +78,8 @@ from .maxmin import (
     ExtendedOrder,
     ExtremePoint,
     ExtremeSet,
-    brute_force_vertices,
     enumerate_extremes,
     maxmin_table,
-    maxmin_vector,
     witnesses_for,
 )
 from .solutions import (
@@ -99,7 +99,5 @@ from .tight_digraph import (
     TightDigraph,
     build_tight_digraph,
     is_extreme,
-    is_maximum,
-    is_minimum,
     to_dot,
 )

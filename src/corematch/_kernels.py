@@ -1,9 +1,10 @@
-"""Enumeration kernels over the integer rows of a difference-constraint system.
+"""The extended-order scan over the integer rows of a difference-constraint
+system.
 
-Both kernels take rows (tail, head, rhs) meaning y[head] - y[tail] >= rhs
-over nodes 0..n with y[0] = 0, scaled to a common denominator
-(``CoreConstraintSystem.rows``), so the arithmetic below is exact
-integer arithmetic with no magnitude limit.
+It takes rows (tail, head, rhs) meaning y[head] - y[tail] >= rhs over nodes
+0..n with y[0] = 0, scaled to a common denominator
+(``CoreConstraintSystem.rows``), so the arithmetic below is exact integer
+arithmetic with no magnitude limit.
 """
 
 from __future__ import annotations
@@ -100,69 +101,3 @@ def scan_orders(perms, n, rows, collect_rows):
                 witnesses.setdefault(vec, []).append((pi, bits))
     return rows_out, witnesses
 
-
-def vertex_solutions(n, rows):
-    """All basic solutions of the constraint system that are feasible.
-
-    Every n-subset of rows is treated as a system of equalities; the subset
-    is nonsingular exactly when, read as edges, it forms a spanning tree of
-    the node set, and is then solved by propagation from node 0. Feasible
-    solutions are returned as a set of tuples (y[1], ..., y[n]).
-    """
-    m = len(rows)
-    found: set[tuple] = set()
-    if n == 0:
-        return {()} if all(c <= 0 for _, _, c in rows) else set()
-    parent = list(range(n + 1))
-    size = [1] * (n + 1)
-    chosen: list[int] = []
-    y = [0] * (n + 1)
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def leaf() -> None:
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-        for idx in chosen:
-            t, h, c = rows[idx]
-            adj[t].append((h, c))
-            adj[h].append((t, -c))
-        stack = [0]
-        seen = [False] * (n + 1)
-        seen[0] = True
-        y[0] = 0
-        while stack:
-            u = stack.pop()
-            for v, delta in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    y[v] = y[u] + delta
-                    stack.append(v)
-        for t, h, c in rows:
-            if y[h] - y[t] < c:
-                return
-        found.add(tuple(y[1:]))
-
-    def descend(start: int, need: int) -> None:
-        if need == 0:
-            leaf()
-            return
-        for idx in range(start, m - need + 1):
-            t, h, _ = rows[idx]
-            rt, rh = find(t), find(h)
-            if rt == rh:
-                continue
-            if size[rt] < size[rh]:
-                rt, rh = rh, rt
-            parent[rh] = rt
-            size[rt] += size[rh]
-            chosen.append(idx)
-            descend(idx + 1, need - 1)
-            chosen.pop()
-            parent[rh] = rh
-            size[rt] -= size[rh]
-
-    descend(0, n)
-    return found

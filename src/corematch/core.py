@@ -10,20 +10,22 @@ optimal exactly when they have a solution.
 
 The minimum and maximum competitive salary vectors are the least and the
 greatest solution of that system, read off longest paths to and from node 0
-by one Bellman-Ford pass each way (``salary_bounds``). The paper's own
-formulas for them, clone values for the minimum and marginal contributions
-for the maximum, cost a flow solve per worker; the test suite keeps them as
-independent oracles.
+by one Bellman-Ford pass each way (``salary_bounds``); ``is_minimum`` and
+``is_maximum`` compare a vector with them. The paper's other
+characterizations of the two vectors (clone values and marginal
+contributions, each a flow solve per worker, and reachability in the tight
+digraph) are kept by the test suite as independent oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .errors import CorematchError, NotBalancedError, NotOptimalError
-from .game import GameTable
+from .errors import CorematchError, NotBalancedError, NotInCoreError, NotOptimalError
+from .game import GameTable, candidate_masks
 from .market import BalancedMarket, Market, RawMarket, balance, surplus_matrix
 from .matching import (
     Matching,
@@ -32,6 +34,7 @@ from .matching import (
     matching_arrays,
     optimal_matching,
 )
+from .rationals import format_rational
 
 ZERO = Fraction(0)
 
@@ -62,9 +65,9 @@ class CoreConstraintSystem:
     """The worker-space core of a balanced market at a reference matching.
 
     ``rows`` holds integer triples (tail, head, rhs), each meaning
-    y[head] - y[tail] >= rhs / scale. Building a system runs one Bellman-Ford
-    pass over them: a positive cycle raises ``CorematchError``, and the
-    distances give ``least``, the least solution of the system.
+    y[head] - y[tail] >= rhs / scale. ``least``, the least solution of the
+    system, comes from one Bellman-Ford pass over them on its first read; a
+    positive cycle raises ``CorematchError`` there.
     """
 
     bm: BalancedMarket
@@ -72,12 +75,11 @@ class CoreConstraintSystem:
     firm_of: tuple[int, ...]
     scale: int
     rows: tuple[tuple[int, int, int], ...]
-    least: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    @cached_property
+    def least(self) -> tuple[Fraction, ...]:
         dist = _longest_paths(self.n_workers + 1, self.rows)
-        least = tuple(Fraction(d, self.scale) for d in dist[1:])
-        object.__setattr__(self, "least", least)
+        return tuple(Fraction(d, self.scale) for d in dist[1:])
 
     @property
     def n_workers(self) -> int:
@@ -141,8 +143,8 @@ def core_constraints(bm: BalancedMarket, mu: Matching) -> CoreConstraintSystem:
     y_k - y_j >= a[mu(j)][k] - a[mu(j)][j] for workers of different firms,
     all scaled by the common denominator of the matrix.
     The rows certify ``mu``: by LP duality a saturating matching is optimal
-    exactly when some salary vector satisfies them, so the Bellman-Ford pass
-    that builds the system raises ``NotOptimalError`` on a positive cycle.
+    exactly when some salary vector satisfies them, so building the system
+    solves it for ``least`` and raises ``NotOptimalError`` on a positive cycle.
     """
     m = bm.market
     firm_of, _ = _saturating_arrays(bm, mu)
@@ -151,13 +153,15 @@ def core_constraints(bm: BalancedMarket, mu: Matching) -> CoreConstraintSystem:
     rows = [(0, j + 1, 0) for j in range(n)]
     rows += [(j + 1, 0, -a[firm_of[j]][j]) for j in range(n)]
     rows += _pair_rows(a, firm_of, same_firm=False)
+    system = CoreConstraintSystem(bm, mu, tuple(firm_of), scale, tuple(rows))
     try:
-        return CoreConstraintSystem(bm, mu, tuple(firm_of), scale, tuple(rows))
+        system.least
     except CorematchError:
         raise NotOptimalError(
             f"matching value {mu.value(m)} is not optimal: "
             "its core system has a positive cycle"
         ) from None
+    return system
 
 
 def is_in_worker_core(system: CoreConstraintSystem, y: Sequence[Fraction]) -> bool:
@@ -179,41 +183,18 @@ def firm_payoffs(
     return Allocation(tuple(x), bm.strip_worker_vector(y))
 
 
-def candidate_masks(g: GameTable) -> list[int]:
-    """Bitmasks of the essential-candidate coalitions of the game."""
-    masks = [1 << i for i in range(g.n_players)]
-    nf = g.n_firms
-    nw = g.n_players - nf
-    for i in range(nf):
-        cap = g.capacities[i]
-        fbit = 1 << i
-        for wmask in range(1, 1 << nw):
-            if wmask.bit_count() <= cap:
-                masks.append(fbit | (wmask << nf))
-    return masks
-
-
-def core_violation(
-    g: GameTable, alloc: Allocation, *, full: bool = False
-) -> frozenset[str] | None:
+def core_violation(g: GameTable, alloc: Allocation) -> frozenset[str] | None:
     """A coalition witnessing that ``alloc`` is not in the core, or None.
 
     Checks efficiency plus coalitional rationality over the essential
-    candidates; ``full=True`` scans every coalition instead (cross-check
-    mode). The grand coalition is returned when efficiency fails.
+    candidates. The grand coalition is returned when efficiency fails.
     """
     z = list(alloc.firm_payoffs) + list(alloc.worker_payoffs)
     if len(z) != g.n_players:
         raise CorematchError("allocation does not match the game's players")
     if sum(z, ZERO) != g.values[g.grand_mask]:
         return g.coalition_of(g.grand_mask)
-    if full:
-        sums = g.payoff_sums(z)
-        for mask in range(1, g.grand_mask):
-            if sums[mask] < g.values[mask]:
-                return g.coalition_of(mask)
-        return None
-    for mask in candidate_masks(g):
+    for mask in candidate_masks(g.capacities, g.n_players - g.n_firms):
         total = ZERO
         mm = mask
         while mm:
@@ -225,9 +206,9 @@ def core_violation(
     return None
 
 
-def is_core_allocation(g: GameTable, alloc: Allocation, *, full: bool = False) -> bool:
+def is_core_allocation(g: GameTable, alloc: Allocation) -> bool:
     """Exact core membership of a full payoff vector."""
-    return core_violation(g, alloc, full=full) is None
+    return core_violation(g, alloc) is None
 
 
 def demand_value(m: Market, i: int, y: Sequence[Fraction]) -> Fraction:
@@ -288,6 +269,31 @@ def salary_bounds(
     arcs = [(head, tail, w) for tail, head, w in system.rows]
     dist = _longest_paths(system.n_workers + 1, arcs)
     return system.least, tuple(Fraction(-d, system.scale) for d in dist[1:])
+
+
+def _require_member(
+    system: CoreConstraintSystem, y: Sequence, what: str = "competitive salary vector"
+) -> tuple:
+    """``y`` as a balanced-space vector; raises ``NotInCoreError``, showing
+    ``y`` as given, unless it satisfies every row of the system."""
+    if not system.contains(y):
+        shown = ", ".join(format_rational(Fraction(v)) for v in y)
+        raise NotInCoreError(f"({shown}) is not a {what}")
+    return system.bm.extend_worker_vector(y)
+
+
+def is_minimum(bm: BalancedMarket, mu: Matching, y: Sequence[Fraction]) -> bool:
+    """True iff ``y`` is the minimum competitive salary vector, the least
+    solution of the core system; raises unless ``y`` is in the core."""
+    system = core_constraints(bm, mu)
+    return _require_member(system, y) == system.least
+
+
+def is_maximum(bm: BalancedMarket, mu: Matching, y: Sequence[Fraction]) -> bool:
+    """True iff ``y`` is the maximum competitive salary vector, the greatest
+    solution of the core system; raises unless ``y`` is in the core."""
+    system = core_constraints(bm, mu)
+    return _require_member(system, y) == salary_bounds(system)[1]
 
 
 def _longest_paths(n_nodes: int, arcs: Sequence[tuple[int, int, int]]) -> list[int]:

@@ -129,20 +129,34 @@ def dual_value(g: GameTable, coalition: Iterable[str]) -> Fraction:
     return g.dual_mask(g.mask_of(coalition))
 
 
-def essential_candidates(m: Market) -> tuple[frozenset[str], ...]:
-    """Superset of the essential coalitions of the assignment game of ``m``:
-    all singletons plus every single firm with 1..r_i workers.
+def candidate_masks(capacities: Sequence[int], n_workers: int) -> list[int]:
+    """Bitmasks (firms first, then workers) of the essential candidates of an
+    assignment game: all singletons plus every single firm with 1..r_i workers.
 
     Coalitions with two firms, one-sided coalitions of size two or more, and
     single-firm coalitions over capacity split into cheaper parts, so no
     other coalition can be essential.
     """
-    out = [frozenset((p,)) for p in m.firm_ids + m.worker_ids]
-    for i, f in enumerate(m.firm_ids):
-        for size in range(1, m.capacities[i] + 1):
-            for ws in combinations(m.worker_ids, size):
-                out.append(frozenset((f,) + ws))
-    return tuple(out)
+    nf = len(capacities)
+    masks = [1 << i for i in range(nf + n_workers)]
+    for i, cap in enumerate(capacities):
+        wmasks = sorted(
+            sum(1 << j for j in ws)
+            for size in range(1, min(cap, n_workers) + 1)
+            for ws in combinations(range(n_workers), size)
+        )
+        masks += [(1 << i) | (w << nf) for w in wmasks]
+    return masks
+
+
+def essential_candidates(m: Market) -> tuple[frozenset[str], ...]:
+    """Superset of the essential coalitions of the assignment game of ``m``,
+    as player-id sets (``candidate_masks``)."""
+    players = m.firm_ids + m.worker_ids
+    return tuple(
+        frozenset(p for i, p in enumerate(players) if mask >> i & 1)
+        for mask in candidate_masks(m.capacities, m.n_workers)
+    )
 
 
 def is_inessential(g: GameTable, coalition: Iterable[str]) -> bool:

@@ -18,11 +18,12 @@ from .core import (
     Allocation,
     CoreConstraintSystem,
     _pair_rows,
+    _require_member,
     _system_at_optimum,
     core_constraints,
     firm_payoffs,
 )
-from .errors import CorematchError, NotInCoreError
+from .errors import CorematchError
 from .market import BalancedMarket, Market, balance
 from .matching import Matching, _scaled, matching_arrays, optimal_matching
 from .maxmin import _scan
@@ -88,7 +89,8 @@ def ce_constraints(
 
 
 def _ce_system(core: CoreConstraintSystem) -> CoreConstraintSystem:
-    """The CE system of a buyer core system: its rows plus the same-seller rows."""
+    """The CE system of a buyer core system: its rows plus the same-seller
+    rows. It is not solved: the CE set at an optimal matching is never empty."""
     _, a = _scaled(core.bm.market.matrix)
     extra = _pair_rows(a, core.firm_of, same_firm=True)
     return replace(core, rows=core.rows + tuple(extra))
@@ -113,9 +115,7 @@ def _prices(
     system: CoreConstraintSystem, x: Sequence[Fraction]
 ) -> tuple[Fraction, ...]:
     """Prices of a payoff vector in the CE system ``system``."""
-    x = system.bm.extend_worker_vector(x)
-    if not system.contains(x):
-        raise NotInCoreError(f"{tuple(x)} is not a CE payoff vector")
+    x = _require_member(system, x, "CE payoff vector")
     m = system.bm.market
     _, buyers_of = matching_arrays(m, system.matching)
     prices = []
@@ -139,8 +139,8 @@ def ce_vertices(b: BuyerMarket, *, limit: int = 8) -> tuple[CEVertex, ...]:
 
     The max-min scan runs on the CE constraint system, whose predecessor
     bounds span all buyers, same seller or not. That system keeps both box
-    rows for every buyer, so the scan returns exactly its vertex set;
-    ``maxmin.vertices_of_system`` is the test oracle. Buyers whose box is a
+    rows for every buyer, so the scan returns exactly its vertex set; the
+    tests check it against brute-force vertex enumeration. Buyers whose box is a
     single point (dummies, buyers of the dummy seller, zero values) are
     folded into node 0 first: their rows become rows on node 0 shifted by
     the pinned value, so ``limit`` counts only the buyers that are scanned.
@@ -176,9 +176,7 @@ def extended_tight_digraph(
     """Tight digraph over buyers + ground node built from all CE constraints;
     same-seller equalities contribute arcs in both directions."""
     system = ce_constraints(b, mu)
-    if not system.contains(x):
-        x = system.bm.extend_worker_vector(x)
-        raise NotInCoreError(f"{x} is not a CE payoff vector")
+    _require_member(system, x, "CE payoff vector")
     return TightDigraph(system.n_workers, system.tight_constraints(x))
 
 

@@ -283,30 +283,3 @@ def coalition_value(m: Market, firms: Iterable[str], workers: Iterable[str]) -> 
     matrix = [[m.matrix[i][j] for j in cols] for i in rows]
     return _market_value(matrix, [m.capacities[i] for i in rows])
 
-
-def enumerate_all_matchings(m: Market, limit: int = 8):
-    """Every capacity-feasible matching; the brute-force oracle for tests."""
-    if m.n_workers > limit:
-        raise LimitExceededError(
-            f"{m.n_workers} workers exceeds the enumeration limit {limit}"
-        )
-    caps = list(m.capacities)
-    stack: list[tuple[int, int]] = []
-    out: list[tuple[tuple[int, int], ...]] = []
-
-    def descend(j: int) -> None:
-        if j == m.n_workers:
-            out.append(tuple(stack))
-            return
-        descend(j + 1)
-        for i in range(m.n_firms):
-            if caps[i] == 0:
-                continue
-            caps[i] -= 1
-            stack.append((i, j))
-            descend(j + 1)
-            stack.pop()
-            caps[i] += 1
-
-    descend(0)
-    return out

@@ -7,9 +7,9 @@ applies). Every vertex of a difference-constraint system with both box rows
 for every worker arises this way, so scanning all n! * 2^n extended orders
 over the system's integer rows and keeping the vectors that satisfy every
 row yields exactly the vertex set: of the core system here, and of the CE
-system in ``kaneko.ce_vertices``. The brute-force vertex enumeration
-(``vertices_of_system``, ``brute_force_vertices``) is kept as the
-independent oracle the tests check the scan against.
+system in ``kaneko.ce_vertices``. The tests check the scan against two
+independent oracles: a ``Fraction`` walk of single orders, and brute-force
+vertex enumeration over every nonsingular n-subset of rows.
 """
 
 from __future__ import annotations
@@ -21,12 +21,10 @@ from itertools import permutations
 from typing import Sequence
 
 from . import _kernels
-from .core import Allocation, CoreConstraintSystem, _system_at_optimum, firm_payoffs
+from .core import Allocation, _system_at_optimum, firm_payoffs
 from .errors import LimitExceededError
 from .market import BalancedMarket
-from .matching import Matching, _scaled, matching_arrays
-
-ZERO = Fraction(0)
+from .matching import _scaled
 
 
 @dataclass(frozen=True)
@@ -66,38 +64,10 @@ class ExtremeSet:
         return sum(len(p.witnesses) for p in self.points)
 
 
-def maxmin_vector(
-    bm: BalancedMarket, mu: Matching, order: ExtendedOrder
-) -> tuple[Fraction, ...]:
-    """The salary vector built by honouring the order position by position."""
-    m = bm.market
-    firm_of, _ = matching_arrays(m, mu)
-    if sorted(order.workers) != sorted(m.worker_ids):
-        raise ValueError("order must be a permutation of the balanced workers")
-    y: dict[int, Fraction] = {}
-    placed: list[int] = []
-    for wid, up in zip(order.workers, order.maximize):
-        k = m.worker_index(wid)
-        row_k = m.matrix[firm_of[k]]
-        if up:
-            best = row_k[k]
-            for j in placed:
-                if firm_of[j] != firm_of[k]:
-                    best = min(best, y[j] - row_k[j] + row_k[k])
-        else:
-            best = ZERO
-            for j in placed:
-                if firm_of[j] != firm_of[k]:
-                    row_j = m.matrix[firm_of[j]]
-                    best = max(best, y[j] - row_j[j] + row_j[k])
-        y[k] = best
-        placed.append(k)
-    return tuple(y[k] for k in range(m.n_workers))
-
-
 def _scan(n: int, rows, limit: int, collect_rows=False, agents="workers"):
     """Run the extended-order scan over integer rows on nodes 0..n."""
-    _check_limit(n, limit, agents)
+    if n > limit:
+        raise LimitExceededError(f"{n} {agents} exceeds the enumeration limit {limit}")
     perms = list(permutations(range(n)))
     table, witnesses = _kernels.scan_orders(perms, n, rows, collect_rows)
     return perms, table, witnesses
@@ -109,13 +79,6 @@ def _order_from_code(m, perm, bits: int) -> ExtendedOrder:
         tuple(m.worker_ids[perm[pos]] for pos in range(n)),
         tuple(bool(bits >> (n - 1 - pos) & 1) for pos in range(n)),
     )
-
-
-def _check_limit(n: int, limit: int, agents: str = "workers") -> None:
-    if n > limit:
-        raise LimitExceededError(
-            f"{n} {agents} exceeds the enumeration limit {limit}"
-        )
 
 
 def enumerate_extremes(bm: BalancedMarket, *, limit: int = 8) -> ExtremeSet:
@@ -179,26 +142,3 @@ def witnesses_for(
         return ()
     return tuple(_order_from_code(bm.market, perms[pi], bits) for pi, bits in codes)
 
-
-def vertices_of_system(
-    system: CoreConstraintSystem, *, limit: int = 6
-) -> frozenset[tuple[Fraction, ...]]:
-    """Brute-force vertex oracle for a difference-constraint system.
-
-    Every n-subset of rows is treated as equalities and solved exactly when
-    nonsingular; feasible solutions are the vertices. Independent of the
-    extended-order machinery; the tests use it as the oracle of the scan.
-    """
-    n = system.n_workers
-    _check_limit(n, limit)
-    return frozenset(
-        tuple(Fraction(v, system.scale) for v in vec)
-        for vec in _kernels.vertex_solutions(n, system.rows)
-    )
-
-
-def brute_force_vertices(
-    bm: BalancedMarket, *, limit: int = 6
-) -> frozenset[tuple[Fraction, ...]]:
-    """The exact vertex set of the competitive salary polytope of ``bm``."""
-    return vertices_of_system(_system_at_optimum(bm), limit=limit)

@@ -15,7 +15,6 @@ from typing import Sequence
 
 from .core import (
     Allocation,
-    candidate_masks,
     core_constraints,
     core_violation,
     firm_payoffs,
@@ -31,7 +30,7 @@ from .errors import (
     UndefinedSolutionError,
 )
 from .exact_lp import solve_affine, solve_lp
-from .game import GameTable, build_game, is_inessential
+from .game import GameTable, build_game, candidate_masks, is_inessential
 from .market import Market, balance
 from .matching import Matching, all_optimal_matchings, matching_arrays, optimal_matching
 
@@ -100,7 +99,7 @@ def kernel_core_test(
     if core_violation(g, alloc) is not None:
         raise NotInCoreError("allocation is outside the core")
     sums = g.payoff_sums(z)
-    masks = candidate_masks(g)
+    masks = candidate_masks(g.capacities, g.n_players - g.n_firms)
     for i, j in _inseparable_pairs(m, g, limit):
         if _max_surplus_masked(g, sums, i, j, masks) != _max_surplus_masked(
             g, sums, j, i, masks
@@ -257,7 +256,7 @@ def _excess_family(g: GameTable, family: str) -> list[int]:
     if family != "essential":
         raise CorematchError(f"unknown coalition family {family!r}")
     out = []
-    for mask in candidate_masks(g):
+    for mask in candidate_masks(g.capacities, g.n_players - g.n_firms):
         if mask == g.grand_mask:
             continue
         if mask.bit_count() > 1 and is_inessential(g, g.coalition_of(mask)):

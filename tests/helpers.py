@@ -5,10 +5,48 @@ from random import Random
 
 from hypothesis import strategies as st
 
-from corematch import BuyerMarket, Market, coalition_value
-from corematch.matching import enumerate_all_matchings
+from corematch import (
+    BuyerMarket,
+    CoreConstraint,
+    LimitExceededError,
+    Market,
+    TightDigraph,
+    build_tight_digraph,
+    coalition_value,
+    core_constraints,
+    optimal_matching,
+)
+from corematch.matching import matching_arrays
 
 ZERO = F(0)
+
+
+def enumerate_all_matchings(m: Market, limit: int = 8):
+    """Every capacity-feasible matching; the brute-force oracle for tests."""
+    if m.n_workers > limit:
+        raise LimitExceededError(
+            f"{m.n_workers} workers exceeds the enumeration limit {limit}"
+        )
+    caps = list(m.capacities)
+    stack: list[tuple[int, int]] = []
+    out: list[tuple[tuple[int, int], ...]] = []
+
+    def descend(j: int) -> None:
+        if j == m.n_workers:
+            out.append(tuple(stack))
+            return
+        descend(j + 1)
+        for i in range(m.n_firms):
+            if caps[i] == 0:
+                continue
+            caps[i] -= 1
+            stack.append((i, j))
+            descend(j + 1)
+            stack.pop()
+            caps[i] += 1
+
+    descend(0)
+    return out
 
 
 def matching_value(m: Market, pairs) -> F:
@@ -247,3 +285,143 @@ def marginal_max_salaries(m: Market) -> tuple:
         total - coalition_value(m, m.firm_ids, [x for x in m.worker_ids if x != w])
         for w in m.worker_ids
     )
+
+
+# The vertex oracle. Production enumerates the vertices of a difference
+# system by the extended-order scan (``maxmin``, ``_kernels.scan_orders``);
+# these solve every nonsingular n-subset of its rows instead.
+
+
+def vertex_solutions(n, rows):
+    """All basic solutions of the constraint system that are feasible.
+
+    Every n-subset of rows is treated as a system of equalities; the subset
+    is nonsingular exactly when, read as edges, it forms a spanning tree of
+    the node set, and is then solved by propagation from node 0. Feasible
+    solutions are returned as a set of tuples (y[1], ..., y[n]).
+    """
+    m = len(rows)
+    found: set[tuple] = set()
+    if n == 0:
+        return {()} if all(c <= 0 for _, _, c in rows) else set()
+    parent = list(range(n + 1))
+    size = [1] * (n + 1)
+    chosen: list[int] = []
+    y = [0] * (n + 1)
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def leaf() -> None:
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+        for idx in chosen:
+            t, h, c = rows[idx]
+            adj[t].append((h, c))
+            adj[h].append((t, -c))
+        stack = [0]
+        seen = [False] * (n + 1)
+        seen[0] = True
+        y[0] = 0
+        while stack:
+            u = stack.pop()
+            for v, delta in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    y[v] = y[u] + delta
+                    stack.append(v)
+        for t, h, c in rows:
+            if y[h] - y[t] < c:
+                return
+        found.add(tuple(y[1:]))
+
+    def descend(start: int, need: int) -> None:
+        if need == 0:
+            leaf()
+            return
+        for idx in range(start, m - need + 1):
+            t, h, _ = rows[idx]
+            rt, rh = find(t), find(h)
+            if rt == rh:
+                continue
+            if size[rt] < size[rh]:
+                rt, rh = rh, rt
+            parent[rh] = rt
+            size[rt] += size[rh]
+            chosen.append(idx)
+            descend(idx + 1, need - 1)
+            chosen.pop()
+            parent[rh] = rh
+            size[rt] -= size[rh]
+
+    descend(0, n)
+    return found
+
+
+def vertices_of_system(system, *, limit: int = 6) -> frozenset:
+    """The exact vertex set of a core or CE constraint system, in Fractions."""
+    n = system.n_workers
+    if n > limit:
+        raise LimitExceededError(f"{n} workers exceeds the enumeration limit {limit}")
+    return frozenset(
+        tuple(F(v, system.scale) for v in vec)
+        for vec in vertex_solutions(n, system.rows)
+    )
+
+
+def brute_force_vertices(bm, *, limit: int = 6) -> frozenset:
+    """The exact vertex set of the competitive salary polytope of ``bm``."""
+    mu = optimal_matching(bm.market).matching
+    return vertices_of_system(core_constraints(bm, mu), limit=limit)
+
+
+def maxmin_vector(bm, mu, order) -> tuple:
+    """The max-min vector of one extended order, walked in Fractions on the
+    balanced matrix: each worker takes the bound its predecessors of other
+    firms impose (its box bound when none applies)."""
+    m = bm.market
+    firm_of, _ = matching_arrays(m, mu)
+    if sorted(order.workers) != sorted(m.worker_ids):
+        raise ValueError("order must be a permutation of the balanced workers")
+    y: dict[int, F] = {}
+    placed: list[int] = []
+    for wid, up in zip(order.workers, order.maximize):
+        k = m.worker_index(wid)
+        row_k = m.matrix[firm_of[k]]
+        if up:
+            best = row_k[k]
+            for j in placed:
+                if firm_of[j] != firm_of[k]:
+                    best = min(best, y[j] - row_k[j] + row_k[k])
+        else:
+            best = ZERO
+            for j in placed:
+                if firm_of[j] != firm_of[k]:
+                    row_j = m.matrix[firm_of[j]]
+                    best = max(best, y[j] - row_j[j] + row_j[k])
+        y[k] = best
+        placed.append(k)
+    return tuple(y[k] for k in range(m.n_workers))
+
+
+# The paper's digraph characterization of the salary bounds. Production
+# compares a vector with the least and greatest solution of the core system.
+
+
+def digraph_is_minimum(bm, mu, y) -> bool:
+    """y is the minimum competitive salary vector iff its tight digraph has a
+    spanning tree directed away from node 0 (every node reachable)."""
+    d = build_tight_digraph(bm, mu, y)
+    return len(d.reachable_from(0)) == d.n_workers + 1
+
+
+def digraph_is_maximum(bm, mu, y) -> bool:
+    """y is the maximum competitive salary vector iff every node of its tight
+    digraph reaches node 0 along directed arcs."""
+    d = build_tight_digraph(bm, mu, y)
+    reversed_d = TightDigraph(
+        d.n_workers,
+        tuple(CoreConstraint(c.head, c.tail, c.rhs) for c in d.arcs),
+    )
+    return len(reversed_d.reachable_from(0)) == d.n_workers + 1

@@ -253,7 +253,7 @@ def test_commands_build_one_core_system(bench_file, buyers_file, capsys, monkeyp
         assert len(calls) == 1, argv
 
 
-def test_bellman_ford_passes_per_command(bench_file, capsys, monkeypatch):
+def test_bellman_ford_passes_per_command(bench_file, buyers_file, capsys, monkeypatch):
     from corematch import core
 
     calls = _count_calls(monkeypatch, "_longest_paths", (core,))
@@ -262,10 +262,37 @@ def test_bellman_ford_passes_per_command(bench_file, capsys, monkeypatch):
         (["salaries", bench_file, "--max"], 2),
         (["digraph", bench_file, "3,2,0"], 1),
         (["extremes", bench_file], 1),
+        (["kaneko", "extremes", buyers_file], 1),
+        (["kaneko", "digraph", buyers_file, "4,2,0"], 1),
+        (["kaneko", "ce-check", buyers_file, "3,2,0"], 1),
     ):
         calls.clear()
         assert run(capsys, *argv)[0] == 0
         assert len(calls) == passes, argv
+
+
+def test_vectors_outside_the_core_print_as_given(
+    tmp_path, bench_file, buyers_file, capsys
+):
+    assert run(capsys, "digraph", bench_file, "0,5,7") == (
+        1, "", "error: (0, 5, 7) is not a competitive salary vector\n"
+    )
+    assert run(capsys, "kaneko", "digraph", buyers_file, "0,5,7") == (
+        1, "", "error: (0, 5, 7) is not a CE payoff vector\n"
+    )
+    # spare seats and spare units: the dummies' zeros stay out of the message
+    spare = tmp_path / "spare.json"
+    firms = [{"id": "f1", "capacity": 2}, {"id": "f2", "capacity": 2}]
+    spare.write_text(json.dumps(dict(BENCH, firms=firms)))
+    assert run(capsys, "digraph", str(spare), "0,5,7/2") == (
+        1, "", "error: (0, 5, 7/2) is not a competitive salary vector\n"
+    )
+    spare_units = tmp_path / "spare_units.json"
+    spare_units.write_text(json.dumps(dict(BUYERS, buyers=["b1", "b2"],
+                                           valuations=[["8", "7"], ["6", "6"]])))
+    assert run(capsys, "kaneko", "digraph", str(spare_units), "9,1/3") == (
+        1, "", "error: (9, 1/3) is not a CE payoff vector\n"
+    )
 
 
 def test_mode_mismatch(bench_file, buyers_file, capsys):

@@ -30,12 +30,14 @@ from corematch import (
     salary_bounds,
     surplus_matrix,
 )
-from corematch.matching import Matching, enumerate_all_matchings
+from corematch.matching import Matching
 from conftest import fr
 from helpers import (
     brute_force_core_membership,
     brute_force_optimum,
+    brute_force_vertices,
     clone_value_min_salaries,
+    enumerate_all_matchings,
     fraction_core_rows,
     marginal_max_salaries,
     markets,
@@ -151,12 +153,7 @@ def test_core_allocation_full_mode_agrees(ones):
     for _ in range(30):
         z = [F(rng.randint(0, 3), rng.choice((1, 2, 3))) for _ in range(5)]
         alloc = Allocation(tuple(z[:2]), tuple(z[2:]))
-        assert is_core_allocation(g, alloc) == is_core_allocation(
-            g, alloc, full=True
-        )
-        assert is_core_allocation(g, alloc, full=True) == (
-            brute_force_core_membership(g, z)
-        )
+        assert is_core_allocation(g, alloc) == brute_force_core_membership(g, z)
 
 
 def test_competitive_equilibrium(bench):
@@ -288,13 +285,13 @@ def test_core_equivalences_on_random_markets():
             )
             in_cw = is_in_worker_core(system, y)
             alloc = firm_payoffs(bm, mu, y)
-            assert in_cw == is_core_allocation(g, alloc, full=True)
+            assert in_cw == brute_force_core_membership(
+                g, alloc.firm_payoffs + alloc.worker_payoffs
+            )
             assert in_cw == is_competitive_equilibrium(m, mu, y)
 
 
 def test_lattice_bounds_hold_at_extremes(bench):
-    from corematch import brute_force_vertices
-
     bm, _, _ = _system(bench)
     lo = min_competitive_salaries(bench)
     hi = max_competitive_salaries(bench)

@@ -17,6 +17,7 @@ from corematch import (
     lemaral_vector,
     marginal_vector,
 )
+from corematch.game import candidate_masks
 from conftest import fr
 from helpers import brute_force_core_membership, random_market
 
@@ -116,6 +117,7 @@ def test_essential_implies_candidate():
         m = random_market(rng, max_workers=4)
         g = build_game(m)
         cands = {g.mask_of(c) for c in essential_candidates(m)}
+        assert cands == set(candidate_masks(m.capacities, m.n_workers))
         for mask in range(1, g.grand_mask + 1):
             if not is_inessential(g, g.coalition_of(mask)):
                 assert mask in cands

@@ -9,7 +9,6 @@ from corematch import (
     LimitExceededError,
     NotInCoreError,
     balance,
-    brute_force_vertices,
     buyer_core_constraints,
     ce_constraints,
     ce_equals_core,
@@ -19,16 +18,18 @@ from corematch import (
     optimal_assignment,
     seller_payoffs,
 )
-from corematch import _kernels, core, kaneko
-from corematch.maxmin import vertices_of_system
+import helpers
+from corematch import core, kaneko
 from conftest import fr
 from helpers import (
     BUYER_SHAPES,
+    brute_force_vertices,
     buyer_markets,
     fraction_core_rows,
     random_balanced_market,
     random_buyer_market,
     random_market,
+    vertices_of_system,
 )
 
 
@@ -291,7 +292,7 @@ def test_ce_vertices_do_not_run_the_vertex_oracle(buyers, monkeypatch):
     def refuse(n, rows):
         raise AssertionError("the vertex oracle ran")
 
-    monkeypatch.setattr(_kernels, "vertex_solutions", refuse)
+    monkeypatch.setattr(helpers, "vertex_solutions", refuse)
     with pytest.raises(AssertionError, match="oracle ran"):
         vertices_of_system(ce_constraints(buyers))
     got = [v.buyer_payoffs for v in ce_vertices(buyers)]

@@ -7,6 +7,7 @@ import pytest
 
 import corematch
 from corematch import _kernels
+from helpers import vertex_solutions
 
 
 def random_rows(rng: Random, n: int, spread: int = 8):
@@ -34,7 +35,7 @@ def test_scan_orders_equals_vertex_solutions_on_random_systems():
     for _ in range(60):
         n = rng.randint(2, 4)
         rows = random_rows(rng, n)
-        assert in_system_vectors(n, rows) == _kernels.vertex_solutions(n, rows)
+        assert in_system_vectors(n, rows) == vertex_solutions(n, rows)
 
 
 def test_scan_orders_rows_and_witnesses_agree():
@@ -61,7 +62,7 @@ def test_kernels_take_values_above_64_bits():
     # worker 2 sits at most 5 below worker 1, each within its own box
     rows = [(0, 1, 0), (1, 0, -big), (0, 2, 0), (2, 0, -2 * big), (1, 2, -5)]
     expected = {(0, 0), (5, 0), (0, 2 * big), (big, big - 5), (big, 2 * big)}
-    assert _kernels.vertex_solutions(2, rows) == expected
+    assert vertex_solutions(2, rows) == expected
     perms = list(permutations(range(2)))
     table, witnesses = _kernels.scan_orders(perms, 2, rows, True)
     assert set(witnesses) == expected

@@ -14,12 +14,13 @@ from corematch import (
     optimal_matching,
     restrict,
 )
-from corematch.matching import Matching, enumerate_all_matchings
+from corematch.matching import Matching
 from corematch.rationals import common_denominator
 from conftest import fr
 from helpers import (
     brute_force_optimal_pair_sets,
     brute_force_optimum,
+    enumerate_all_matchings,
     matching_value,
     random_balanced_market,
     random_fraction,

@@ -8,17 +8,15 @@ from corematch import (
     ExtendedOrder,
     LimitExceededError,
     balance,
-    brute_force_vertices,
     core_constraints,
     enumerate_extremes,
     maxmin_table,
-    maxmin_vector,
     optimal_matching,
     witnesses_for,
 )
 from conftest import fr
 from corematch import Market
-from helpers import random_balanced_market
+from helpers import brute_force_vertices, maxmin_vector, random_balanced_market
 
 # every extended order of the benchmark market with its max-min vector and
 # core membership; permutation groups in lexicographic order, flags counted

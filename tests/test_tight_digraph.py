@@ -2,23 +2,34 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
+from hypothesis import given, settings
 
 from corematch import (
     NotInCoreError,
+    ExtendedOrder,
     balance,
-    brute_force_vertices,
     build_tight_digraph,
     core_constraints,
     is_extreme,
     is_maximum,
     is_minimum,
+    market_core_system,
     max_competitive_salaries,
     min_competitive_salaries,
     optimal_matching,
+    salary_bounds,
     to_dot,
 )
 from corematch.tight_digraph import TightDigraph
-from helpers import random_balanced_market
+from helpers import (
+    brute_force_vertices,
+    digraph_is_maximum,
+    digraph_is_minimum,
+    markets,
+    maxmin_vector,
+    random_balanced_market,
+    random_market,
+)
 
 
 def _setup(m):
@@ -108,6 +119,49 @@ def test_min_max_match_salary_bounds_on_random_markets():
         for vertex in brute_force_vertices(bm):
             assert is_minimum(bm, mu, vertex) == (vertex == lo)
             assert is_maximum(bm, mu, vertex) == (vertex == hi)
+
+
+def _check_flags_against_reachability(m, rng):
+    system = market_core_system(m)
+    bm, mu = system.bm, system.matching
+    # the bounds, in-core max-min vectors of random extended orders (each a
+    # vertex) and the midpoints between them
+    lo, hi = salary_bounds(system)
+    points = {lo, hi}
+    workers = list(bm.market.worker_ids)
+    for _ in range(12):
+        rng.shuffle(workers)
+        flags = tuple(rng.random() < 0.5 for _ in workers)
+        y = maxmin_vector(bm, mu, ExtendedOrder(tuple(workers), flags))
+        if system.contains(y):
+            points.add(y)
+    points = sorted(points)
+    points += [tuple((p + q) / 2 for p, q in zip(a, b)) for a, b in zip(points, points[1:])]
+    for y in points:
+        assert is_minimum(bm, mu, y) == digraph_is_minimum(bm, mu, y), y
+        assert is_maximum(bm, mu, y) == digraph_is_maximum(bm, mu, y), y
+    for flag in (is_minimum, is_maximum):
+        with pytest.raises(NotInCoreError):
+            flag(bm, mu, (hi[0] + 1,) + hi[1:])
+
+
+def test_min_max_flags_equal_the_reachability_oracle():
+    rng = Random(223)
+    # balanced, padded with dummy workers, padded with a dummy firm
+    shapes = {-1: 0, 0: 0, 1: 0}
+    while min(shapes.values()) < 8:
+        m = random_market(rng, max_workers=5)
+        if max(m.total_capacity, m.n_workers) > 6:
+            continue
+        gap = m.total_capacity - m.n_workers
+        shapes[(gap > 0) - (gap < 0)] += 1
+        _check_flags_against_reachability(m, rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(markets().filter(lambda m: max(m.total_capacity, m.n_workers) <= 6))
+def test_min_max_flags_equal_the_reachability_oracle_generated(m):
+    _check_flags_against_reachability(m, Random(229))
 
 
 def test_unique_matching_gives_acyclic_digraphs():
