@@ -44,7 +44,7 @@ from .game import (
     build_game,
     dual_value,
     essential_candidates,
-    is_inessential,
+    essential_family,
     lemaral_vector,
     marginal_vector,
 )

@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .errors import CorematchError, NotBalancedError, NotInCoreError, NotOptimalError
-from .game import GameTable, candidate_masks
+from .game import essential_family
 from .market import BalancedMarket, Market, RawMarket, balance, surplus_matrix
 from .matching import (
     Matching,
@@ -183,32 +183,43 @@ def firm_payoffs(
     return Allocation(tuple(x), bm.strip_worker_vector(y))
 
 
-def core_violation(g: GameTable, alloc: Allocation) -> frozenset[str] | None:
+def _payoff_vector(alloc: Allocation, n_firms: int, n_workers: int) -> list:
+    """``alloc`` as one vector, firms first, then workers; raises unless it
+    holds ``n_firms`` firm payoffs and ``n_workers`` salaries."""
+    nf, nw = len(alloc.firm_payoffs), len(alloc.worker_payoffs)
+    if (nf, nw) != (n_firms, n_workers):
+        raise CorematchError(
+            f"allocation has {nf} firm payoffs and {nw} salaries; "
+            f"the market has {n_firms} firms and {n_workers} workers"
+        )
+    return list(alloc.firm_payoffs) + list(alloc.worker_payoffs)
+
+
+def core_violation(m: Market, alloc: Allocation) -> frozenset[str] | None:
     """A coalition witnessing that ``alloc`` is not in the core, or None.
 
-    Checks efficiency plus coalitional rationality over the essential
-    candidates. The grand coalition is returned when efficiency fails.
+    Checks efficiency against the optimal matching value, then coalitional
+    rationality over the essential coalitions (``essential_family``), in
+    order. The grand coalition is returned when efficiency fails.
     """
-    z = list(alloc.firm_payoffs) + list(alloc.worker_payoffs)
-    if len(z) != g.n_players:
-        raise CorematchError("allocation does not match the game's players")
-    if sum(z, ZERO) != g.values[g.grand_mask]:
-        return g.coalition_of(g.grand_mask)
-    for mask in candidate_masks(g.capacities, g.n_players - g.n_firms):
-        total = ZERO
-        mm = mask
-        while mm:
-            low = mm & -mm
-            total += z[low.bit_length() - 1]
-            mm ^= low
-        if total < g.values[mask]:
-            return g.coalition_of(mask)
+    z = _payoff_vector(alloc, m.n_firms, m.n_workers)
+    players = m.firm_ids + m.worker_ids
+    if sum(z, ZERO) != optimal_matching(m).value:
+        return frozenset(players)
+    for mask, value in essential_family(m).items():
+        if _mask_sum(z, mask) < value:
+            return frozenset(p for k, p in enumerate(players) if mask >> k & 1)
     return None
 
 
-def is_core_allocation(g: GameTable, alloc: Allocation) -> bool:
+def _mask_sum(values: Sequence[Fraction], mask: int) -> Fraction:
+    """The sum of ``values`` over the positions set in ``mask``."""
+    return sum((v for k, v in enumerate(values) if mask >> k & 1), ZERO)
+
+
+def is_core_allocation(m: Market, alloc: Allocation) -> bool:
     """Exact core membership of a full payoff vector."""
-    return core_violation(g, alloc) is None
+    return core_violation(m, alloc) is None
 
 
 def demand_value(m: Market, i: int, y: Sequence[Fraction]) -> Fraction:

@@ -1,9 +1,10 @@
-"""Explicit coalitional games built from markets.
+"""Coalitional games built from markets.
 
 A :class:`GameTable` stores the coalition value v(S) for every subset of the
-players (firms first, then workers), bitmask indexed. It is meant for
-desk-scale analysis: kernels, nucleolus, dual games, marginal and lemaral
-vectors all run on it.
+players (firms first, then workers), bitmask indexed, for the solutions that
+need every coalition: Shapley, tau, kernel, dual games, marginal and lemaral
+vectors. The core and the nucleolus need only the essential coalitions,
+which ``essential_family`` reads off the surplus matrix without the table.
 """
 
 from __future__ import annotations
@@ -11,12 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Iterable, Sequence
 
 from .errors import CorematchError, LimitExceededError
 from .market import Market
 
 ZERO = Fraction(0)
+
+#: Most coalitions ``essential_family`` lists: each is one row of every
+#: nucleolus level program.
+ESSENTIAL_LIMIT = 1024
 
 #: A PlayerOrder is a permutation of the game's player ids.
 PlayerOrder = Sequence[str]
@@ -29,7 +35,6 @@ class GameTable:
     players: tuple[str, ...]
     values: tuple[Fraction, ...]
     n_firms: int
-    capacities: tuple[int, ...]
 
     @property
     def n_players(self) -> int:
@@ -121,7 +126,7 @@ def build_game(m: Market, limit: int = 16) -> GameTable:
             table = cur
         for wmask in range(full_w + 1):
             values[fmask | (wmask << nf)] = table[wmask]
-    return GameTable(m.firm_ids + m.worker_ids, tuple(values), nf, m.capacities)
+    return GameTable(m.firm_ids + m.worker_ids, tuple(values), nf)
 
 
 def dual_value(g: GameTable, coalition: Iterable[str]) -> Fraction:
@@ -140,13 +145,18 @@ def candidate_masks(capacities: Sequence[int], n_workers: int) -> list[int]:
     nf = len(capacities)
     masks = [1 << i for i in range(nf + n_workers)]
     for i, cap in enumerate(capacities):
-        wmasks = sorted(
-            sum(1 << j for j in ws)
-            for size in range(1, min(cap, n_workers) + 1)
-            for ws in combinations(range(n_workers), size)
-        )
-        masks += [(1 << i) | (w << nf) for w in wmasks]
+        masks += _firm_masks(nf, i, cap, range(n_workers))
     return masks
+
+
+def _firm_masks(nf: int, i: int, cap: int, workers: Sequence[int]) -> list[int]:
+    """Masks of firm i with 1..cap of ``workers``, in increasing mask order."""
+    wmasks = sorted(
+        sum(1 << j for j in ws)
+        for size in range(1, min(cap, len(workers)) + 1)
+        for ws in combinations(workers, size)
+    )
+    return [(1 << i) | (w << nf) for w in wmasks]
 
 
 def essential_candidates(m: Market) -> tuple[frozenset[str], ...]:
@@ -159,18 +169,35 @@ def essential_candidates(m: Market) -> tuple[frozenset[str], ...]:
     )
 
 
-def is_inessential(g: GameTable, coalition: Iterable[str]) -> bool:
-    """True iff the coalition splits into two parts at least as valuable."""
-    mask = g.mask_of(coalition)
-    if mask == 0:
-        raise CorematchError("the empty coalition has no essentiality status")
-    v = g.values[mask]
-    sub = (mask - 1) & mask
-    while sub > mask ^ sub:
-        if v <= g.values[sub] + g.values[mask ^ sub]:
-            return True
-        sub = (sub - 1) & mask
-    return False
+def essential_family(m: Market) -> dict[int, Fraction]:
+    """The essential coalitions of the assignment game of ``m`` but the grand
+    coalition, as {mask: value} in ``candidate_masks`` order.
+
+    Singletons are worth 0. Firm i with workers S, |S| <= r_i, is worth the
+    sum of a[i][j] over S, and is essential exactly when every such a[i][j]
+    is positive: a zero entry splits its worker off at no loss. Raises
+    ``LimitExceededError`` before listing anything when the family has more
+    than ``ESSENTIAL_LIMIT`` members.
+    """
+    nf, n = m.n_firms, m.n_firms + m.n_workers
+    positive = [[j for j, a in enumerate(row) if a > 0] for row in m.matrix]
+    size = n + sum(
+        comb(len(ws), k)
+        for ws, cap in zip(positive, m.capacities)
+        for k in range(1, min(cap, len(ws)) + 1)
+    )
+    if nf == 1 and len(positive[0]) == m.n_workers <= m.capacities[0]:
+        size -= 1  # the grand coalition, which is left out
+    if size > ESSENTIAL_LIMIT:
+        raise LimitExceededError(
+            f"{size} essential coalitions exceeds the limit {ESSENTIAL_LIMIT}"
+        )
+    out = {1 << p: ZERO for p in range(n)}
+    for i, (row, ws, cap) in enumerate(zip(m.matrix, positive, m.capacities)):
+        for mask in _firm_masks(nf, i, cap, ws):
+            out[mask] = sum((row[j] for j in ws if mask >> nf + j & 1), ZERO)
+    out.pop((1 << n) - 1, None)
+    return out
 
 
 def marginal_vector(g: GameTable, order: PlayerOrder) -> tuple[Fraction, ...]:

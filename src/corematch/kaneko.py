@@ -52,12 +52,7 @@ class BuyerMarket:
         )
         job = Market(self.seller_ids, self.capacities, self.buyer_ids, transposed)
         object.__setattr__(self, "matrix", tuple(tuple(r) for r in self.matrix))
-        object.__setattr__(self, "_job", job)
         object.__setattr__(self, "_balanced", balance(job))
-
-    def as_job_market(self) -> Market:
-        """The transposed market: sellers act as capacitated firms."""
-        return self._job
 
     def balanced(self) -> BalancedMarket:
         return self._balanced

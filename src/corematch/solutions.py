@@ -4,6 +4,9 @@ Kernel membership via pairwise maximum surpluses, the nucleolus by the
 iterated LP scheme over exact rationals, the Shapley value, the tau value,
 the fair-division point, and the dominant-diagonal / convexity structure
 tests.
+
+The nucleolus and the kernel test for core points read only the market's
+essential coalitions (``game.essential_family``); the rest take the table.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from typing import Sequence
 
 from .core import (
     Allocation,
+    _mask_sum,
+    _payoff_vector,
     core_constraints,
     core_violation,
     firm_payoffs,
@@ -22,7 +27,6 @@ from .core import (
     salary_bounds,
 )
 from .errors import (
-    CorematchError,
     NotBalancedError,
     NotDominantDiagonalError,
     NotImputationError,
@@ -30,19 +34,12 @@ from .errors import (
     UndefinedSolutionError,
 )
 from .exact_lp import solve_affine, solve_lp
-from .game import GameTable, build_game, candidate_masks, is_inessential
+from .game import GameTable, essential_family
 from .market import Market, balance
 from .matching import Matching, all_optimal_matchings, matching_arrays, optimal_matching
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def _flatten(g: GameTable, alloc: Allocation) -> list[Fraction]:
-    z = list(alloc.firm_payoffs) + list(alloc.worker_payoffs)
-    if len(z) != g.n_players:
-        raise CorematchError("allocation does not match the game's players")
-    return z
 
 
 def _require_imputation(g: GameTable, z: Sequence[Fraction]) -> None:
@@ -57,17 +54,16 @@ def _require_imputation(g: GameTable, z: Sequence[Fraction]) -> None:
 
 def max_surplus(g: GameTable, alloc: Allocation, i: str, j: str) -> Fraction:
     """s_ij: the largest excess over coalitions containing i but not j."""
-    z = _flatten(g, alloc)
+    z = _payoff_vector(alloc, g.n_firms, g.n_players - g.n_firms)
     _require_imputation(g, z)
     sums = g.payoff_sums(z)
-    return _max_surplus_masked(g, sums, g.player_index(i), g.player_index(j), None)
+    return _max_surplus_masked(g, sums, g.player_index(i), g.player_index(j))
 
 
-def _max_surplus_masked(g, sums, i: int, j: int, masks) -> Fraction:
+def _max_surplus_masked(g, sums, i: int, j: int) -> Fraction:
     ibit, jbit = 1 << i, 1 << j
     best = None
-    candidates = range(1, g.grand_mask + 1) if masks is None else masks
-    for mask in candidates:
+    for mask in range(1, g.grand_mask + 1):
         if mask & ibit and not mask & jbit:
             e = g.values[mask] - sums[mask]
             if best is None or e > best:
@@ -77,97 +73,89 @@ def _max_surplus_masked(g, sums, i: int, j: int, masks) -> Fraction:
 
 def is_in_kernel(g: GameTable, alloc: Allocation) -> bool:
     """Kernel membership: s_ij(z) = s_ji(z) for every pair of players."""
-    z = _flatten(g, alloc)
+    z = _payoff_vector(alloc, g.n_firms, g.n_players - g.n_firms)
     _require_imputation(g, z)
     sums = g.payoff_sums(z)
     for i in range(g.n_players):
         for j in range(i + 1, g.n_players):
-            if _max_surplus_masked(g, sums, i, j, None) != _max_surplus_masked(
-                g, sums, j, i, None
+            if _max_surplus_masked(g, sums, i, j) != _max_surplus_masked(
+                g, sums, j, i
             ):
                 return False
     return True
 
 
-def kernel_core_test(
-    m: Market, g: GameTable, alloc: Allocation, *, limit: int = 10
-) -> bool:
+def kernel_core_test(m: Market, alloc: Allocation, *, limit: int = 10) -> bool:
     """Kernel membership for core allocations, using the two reductions that
-    hold inside the core: surpluses are maximized over essential candidates
-    only, and only pairs sharing a block in every optimal matching matter."""
-    z = _flatten(g, alloc)
-    if core_violation(g, alloc) is not None:
+    hold inside the core: surpluses are maximized over the essential
+    coalitions only, and only pairs sharing a block in every optimal
+    matching matter."""
+    if core_violation(m, alloc) is not None:
         raise NotInCoreError("allocation is outside the core")
-    sums = g.payoff_sums(z)
-    masks = candidate_masks(g.capacities, g.n_players - g.n_firms)
-    for i, j in _inseparable_pairs(m, g, limit):
-        if _max_surplus_masked(g, sums, i, j, masks) != _max_surplus_masked(
-            g, sums, j, i, masks
-        ):
-            return False
-    return True
+    z = _payoff_vector(alloc, m.n_firms, m.n_workers)
+    excess = {s: v - _mask_sum(z, s) for s, v in essential_family(m).items()}
+
+    def surplus(i: int, j: int) -> Fraction:
+        ibit, jbit = 1 << i, 1 << j
+        return max(e for s, e in excess.items() if s & ibit and not s & jbit)
+
+    return all(surplus(i, j) == surplus(j, i) for i, j in _inseparable_pairs(m, limit))
 
 
-def _inseparable_pairs(m: Market, g: GameTable, limit: int):
+def _inseparable_pairs(m: Market, limit: int):
     """Player index pairs lying in a common block under every optimal
     matching; all other pairs are automatically balanced at core points."""
-    matchings = all_optimal_matchings(m, limit=limit)
-    blocks_per_matching = []
-    for mu in matchings:
-        firm_of, workers_of = matching_arrays(m, mu)
-        block_of = {}
-        for i in range(m.n_firms):
-            members = [i] + [m.n_firms + j for j in workers_of[i]]
-            for p in members:
-                block_of[p] = frozenset(members)
-        for j in range(m.n_workers):
-            if firm_of[j] is None:
-                block_of[m.n_firms + j] = frozenset((m.n_firms + j,))
-        blocks_per_matching.append(block_of)
-    pairs = []
-    for i in range(g.n_players):
-        for j in range(i + 1, g.n_players):
-            if all(b[i] == b[j] for b in blocks_per_matching):
-                pairs.append((i, j))
-    return pairs
+    # a player's block is named by its firm; an unmatched worker j is alone
+    blocks = []
+    for mu in all_optimal_matchings(m, limit=limit):
+        firm_of, _ = matching_arrays(m, mu)
+        blocks.append(
+            list(range(m.n_firms))
+            + [~j if f is None else f for j, f in enumerate(firm_of)]
+        )
+    n = m.n_firms + m.n_workers
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if all(b[i] == b[j] for b in blocks)
+    ]
 
 
-def nucleolus(
-    m: Market,
-    g: GameTable | None = None,
-    *,
-    family: str = "essential",
-    limit: int = 16,
-) -> Allocation:
+def nucleolus(m: Market) -> Allocation:
     """The lexicographic minimizer of sorted excesses over efficient vectors.
 
     Iterated scheme: minimize the largest excess by LP, pin the coalitions
     whose excess cannot leave that level, repeat on the rest until the pinned
-    equalities determine the allocation. ``family`` selects the coalitions
-    considered: "essential" (sound for these games, and much smaller) or
-    "all" (the brute-force oracle).
+    equalities determine the allocation. Only the essential coalitions
+    (``game.essential_family``) enter the programs; for assignment games the
+    rest never decide the nucleolus.
     """
-    if g is None:
-        g = build_game(m, limit=limit)
-    n = g.n_players
-    grand = g.values[g.grand_mask]
+    values = essential_family(m)
+    grand = optimal_matching(m).value
+    return _nucleolus(m.n_firms + m.n_workers, m.n_firms, grand, values, list(values))
+
+
+def _nucleolus(n, n_firms, grand, values, masks) -> Allocation:
+    """The iterated LP scheme over the coalitions ``masks`` (the grand one
+    excluded), with ``values[mask]`` the worth of each and of every
+    singleton."""
     if n == 1:
-        return _split_allocation(g, [grand])
-    masks = _excess_family(g, family)
+        return _split_allocation(n_firms, [grand])
 
     # shift to non-negative LP variables: with e0 an upper bound on the first
     # level, z_i = (v({i}) - e0) + w_i and eps = e0 - d cut nothing relevant
     share = Fraction(grand, n)
-    e0 = max(g.values[s] - share * s.bit_count() for s in masks)
-    lb = [g.values[1 << i] - e0 for i in range(n)]
-    lp = _NucleolusLP(n, grand, lb, e0, g.values)
+    e0 = max(values[s] - share * s.bit_count() for s in masks)
+    lb = [values[1 << i] - e0 for i in range(n)]
+    lp = _NucleolusLP(n, grand, lb, e0, values)
 
     settled: list[tuple[int, Fraction]] = []  # (mask, pinned coalition payoff)
     remaining = list(masks)
     while True:
         solution = lp.pinned_solution(settled)
         if solution is not None:
-            return _split_allocation(g, solution)
+            return _split_allocation(n_firms, solution)
         if not remaining:
             raise AssertionError("equality system stalled before full rank")
         sol = solve_lp(*lp.level_program(settled, remaining))
@@ -177,7 +165,7 @@ def nucleolus(
         tight = []
         newly = []
         for k, s in enumerate(remaining):
-            if _mask_sum(z, s) + eps == g.values[s]:
+            if _mask_sum(z, s) + eps == values[s]:
                 tight.append(k)
                 if sol.ub_multiplier_nonzero[k]:
                     newly.append(k)
@@ -187,13 +175,13 @@ def nucleolus(
                 best = solve_lp(
                     *lp.face_program(settled, remaining, s, d_star)
                 )
-                if _lb_sum(lb, s) - best.objective == g.values[s] - eps:
+                if _mask_sum(lb, s) - best.objective == values[s] - eps:
                     newly.append(k)
         if not newly:
             raise AssertionError("no coalition settled at the optimal level")
         for k in newly:
             s = remaining[k]
-            settled.append((s, g.values[s] - eps))
+            settled.append((s, values[s] - eps))
         for k in sorted(newly, reverse=True):
             del remaining[k]
 
@@ -217,7 +205,7 @@ class _NucleolusLP:
         rows = [([ONE] * n + [ZERO], self.grand - sum(self.lb, ZERO))]
         for s, payoff in settled:
             coeffs = [ONE if s >> i & 1 else ZERO for i in range(n)] + [ZERO]
-            rows.append((coeffs, payoff - _lb_sum(self.lb, s)))
+            rows.append((coeffs, payoff - _mask_sum(self.lb, s)))
         return rows
 
     def _ub_rows(self, remaining):
@@ -226,7 +214,7 @@ class _NucleolusLP:
         rows = []
         for s in remaining:
             coeffs = [-ONE if s >> i & 1 else ZERO for i in range(n)] + [ONE]
-            rows.append((coeffs, _lb_sum(self.lb, s) + self.e0 - self.values[s]))
+            rows.append((coeffs, _mask_sum(self.lb, s) + self.e0 - self.values[s]))
         return rows
 
     def level_program(self, settled, remaining):
@@ -250,31 +238,8 @@ class _NucleolusLP:
         return solution
 
 
-def _excess_family(g: GameTable, family: str) -> list[int]:
-    if family == "all":
-        return list(range(1, g.grand_mask))
-    if family != "essential":
-        raise CorematchError(f"unknown coalition family {family!r}")
-    out = []
-    for mask in candidate_masks(g.capacities, g.n_players - g.n_firms):
-        if mask == g.grand_mask:
-            continue
-        if mask.bit_count() > 1 and is_inessential(g, g.coalition_of(mask)):
-            continue
-        out.append(mask)
-    return out
-
-
-def _lb_sum(lb, mask) -> Fraction:
-    return sum((lb[i] for i in range(len(lb)) if mask >> i & 1), ZERO)
-
-
-def _mask_sum(values, mask) -> Fraction:
-    return sum((values[i] for i in range(len(values)) if mask >> i & 1), ZERO)
-
-
-def _split_allocation(g: GameTable, z: Sequence[Fraction]) -> Allocation:
-    return Allocation(tuple(z[: g.n_firms]), tuple(z[g.n_firms :]))
+def _split_allocation(n_firms: int, z: Sequence[Fraction]) -> Allocation:
+    return Allocation(tuple(z[:n_firms]), tuple(z[n_firms:]))
 
 
 def shapley(g: GameTable) -> Allocation:
@@ -293,7 +258,7 @@ def shapley(g: GameTable) -> Allocation:
             bit = 1 << i
             if not mask & bit:
                 out[i] += weight * (g.values[mask | bit] - v_s)
-    return _split_allocation(g, out)
+    return _split_allocation(g.n_firms, out)
 
 
 def tau_value(g: GameTable) -> Allocation:
@@ -330,10 +295,10 @@ def tau_value(g: GameTable) -> Allocation:
             raise UndefinedSolutionError(
                 "degenerate utopia span cannot be scaled to efficiency"
             )
-        return _split_allocation(g, rights)
+        return _split_allocation(g.n_firms, rights)
     kappa = (grand - m_total) / (u_total - m_total)
     return _split_allocation(
-        g, [mi + kappa * (ui - mi) for mi, ui in zip(rights, utopia)]
+        g.n_firms, [mi + kappa * (ui - mi) for mi, ui in zip(rights, utopia)]
     )
 
 

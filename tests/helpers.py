@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from corematch import (
     BuyerMarket,
     CoreConstraint,
+    CorematchError,
     LimitExceededError,
     Market,
     TightDigraph,
@@ -16,7 +17,9 @@ from corematch import (
     core_constraints,
     optimal_matching,
 )
+from corematch.game import candidate_masks
 from corematch.matching import matching_arrays
+from corematch.solutions import _nucleolus
 
 ZERO = F(0)
 
@@ -77,6 +80,47 @@ def brute_force_core_membership(g, z) -> bool:
     )
 
 
+# The game-table characterizations of the essential coalitions. Production
+# reads the essential family and its values off the surplus matrix
+# (``game.essential_family``); these decide on the full 2^N table instead.
+
+
+def is_inessential(g, coalition) -> bool:
+    """True iff the coalition splits into two parts at least as valuable."""
+    mask = g.mask_of(coalition)
+    if mask == 0:
+        raise CorematchError("the empty coalition has no essentiality status")
+    v = g.values[mask]
+    sub = (mask - 1) & mask
+    while sub > mask ^ sub:
+        if v <= g.values[sub] + g.values[mask ^ sub]:
+            return True
+        sub = (sub - 1) & mask
+    return False
+
+
+def table_core_violation(m: Market, g, z):
+    """The first coalition of ``candidate_masks`` order, essential or not,
+    whose table value exceeds its payoff under ``z``; the grand coalition if
+    ``z`` is not efficient; None if ``z`` is in the core."""
+    if sum(z, ZERO) != g.values[g.grand_mask]:
+        return g.coalition_of(g.grand_mask)
+    sums = g.payoff_sums(list(z))
+    for mask in candidate_masks(m.capacities, m.n_workers):
+        if sums[mask] < g.values[mask]:
+            return g.coalition_of(mask)
+    return None
+
+
+def nucleolus_all_coalitions(g):
+    """The nucleolus by the same iterated LP scheme over every coalition of
+    the game table, essential or not."""
+    return _nucleolus(
+        g.n_players, g.n_firms, g.values[g.grand_mask], g.values,
+        range(1, g.grand_mask),
+    )
+
+
 def brute_force_convex(g) -> bool:
     """v(S + i) - v(S) nondecreasing in S, checked over all pairs S <= T."""
     n = g.n_players
@@ -128,6 +172,27 @@ def random_market(rng: Random, max_workers=5) -> Market:
     return Market(
         tuple(f"f{i}" for i in range(1, m + 1)),
         caps,
+        tuple(f"w{j}" for j in range(1, n + 1)),
+        matrix,
+    )
+
+
+def zero_heavy_market(rng: Random, max_workers=6) -> Market:
+    """Possibly unbalanced market where each surplus is 0 with probability
+    0, 1/5 or 1/2, drawn per market."""
+    n = rng.randint(1, max_workers)
+    m = rng.randint(1, 3)
+    zeros = rng.choice((0, 0.2, 0.5))
+    matrix = tuple(
+        tuple(
+            ZERO if rng.random() < zeros else F(rng.randint(1, 8), rng.choice((1, 2)))
+            for _ in range(n)
+        )
+        for _ in range(m)
+    )
+    return Market(
+        tuple(f"f{i}" for i in range(1, m + 1)),
+        tuple(rng.randint(1, 3) for _ in range(m)),
         tuple(f"w{j}" for j in range(1, n + 1)),
         matrix,
     )

@@ -186,6 +186,27 @@ def test_point_solutions(bench_file, capsys):
     assert code == 0
 
 
+def test_nucleolus_of_an_18_player_market(tmp_path, capsys):
+    # firm i values only worker i, at 2i: beyond the 16-player game table
+    diagonal = {
+        "mode": "job-market",
+        "firms": [{"id": f"f{i}", "capacity": 1} for i in range(1, 10)],
+        "workers": [f"w{j}" for j in range(1, 10)],
+        "surplus": [
+            [str(2 * i) if i == j else "0" for j in range(1, 10)]
+            for i in range(1, 10)
+        ],
+    }
+    path = tmp_path / "diagonal.json"
+    path.write_text(json.dumps(diagonal))
+    code, out, err = run(capsys, "nucleolus", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "firm payoffs: " + ", ".join(f"f{i}={i}" for i in range(1, 10)),
+        "salaries: " + ", ".join(f"w{i}={i}" for i in range(1, 10)),
+    ]
+
+
 def test_decimal_rendering(bench_file, capsys):
     code, out, _ = run(capsys, "fair-division", bench_file, "--decimal", "2")
     assert "f1=4.50" in out and "w1=5.50" in out

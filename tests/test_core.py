@@ -16,6 +16,7 @@ from corematch import (
     constant_decrease,
     core_constraints,
     core_violation,
+    fair_division,
     firm_payoffs,
     is_competitive_equilibrium,
     is_core_allocation,
@@ -43,6 +44,8 @@ from helpers import (
     markets,
     matching_value,
     random_balanced_market,
+    table_core_violation,
+    zero_heavy_market,
     random_market,
 )
 
@@ -137,14 +140,12 @@ def test_firm_payoffs(bench):
 
 
 def test_core_allocation_checks(ones, dd):
-    g = build_game(ones)
     bad = Allocation((F(1), F(1)), (F(1, 3),) * 3)
-    assert not is_core_allocation(g, bad)
+    assert not is_core_allocation(ones, bad)
     good = Allocation((F(0), F(0)), (F(1),) * 3)
-    assert is_core_allocation(g, good)
-    g_dd = build_game(dd)
+    assert is_core_allocation(ones, good)
     alloc = Allocation((F(0), F(5)), (F(6), F(4), F(0)))
-    assert core_violation(g_dd, alloc) == frozenset(("f1", "w3"))
+    assert core_violation(dd, alloc) == frozenset(("f1", "w3"))
 
 
 def test_core_allocation_full_mode_agrees(ones):
@@ -153,7 +154,35 @@ def test_core_allocation_full_mode_agrees(ones):
     for _ in range(30):
         z = [F(rng.randint(0, 3), rng.choice((1, 2, 3))) for _ in range(5)]
         alloc = Allocation(tuple(z[:2]), tuple(z[2:]))
-        assert is_core_allocation(g, alloc) == brute_force_core_membership(g, z)
+        assert is_core_allocation(ones, alloc) == brute_force_core_membership(g, z)
+
+
+def test_core_violation_witness_is_the_table_witness():
+    rng = Random(53)
+    for _ in range(60):
+        m = zero_heavy_market(rng, max_workers=4)
+        g = build_game(m)
+        fd = fair_division(m)
+        base = list(fd.firm_payoffs + fd.worker_payoffs)
+        n, nf = len(base), m.n_firms
+        for _ in range(6):
+            z = list(base)
+            i, j = rng.sample(range(n), 2)
+            shift = F(rng.randint(0, 6), 2)
+            z[i] -= shift
+            z[j] += shift if rng.random() < 0.8 else shift + 1
+            witness = core_violation(m, Allocation(tuple(z[:nf]), tuple(z[nf:])))
+            assert witness == table_core_violation(m, g, z)
+            assert (witness is None) == brute_force_core_membership(g, z)
+
+
+def test_allocation_sides_must_match_the_market(bench):
+    # the bench nucleolus with worker w1 moved to the firm side
+    moved = Allocation((F(4), F(9, 4), F(23, 4)), (F(17, 4), F(7, 4)))
+    with pytest.raises(CorematchError, match="3 firm payoffs and 2 salaries"):
+        is_core_allocation(bench, moved)
+    with pytest.raises(CorematchError, match="the market has 2 firms and 3"):
+        core_violation(bench, moved)
 
 
 def test_competitive_equilibrium(bench):
@@ -232,7 +261,8 @@ def test_salary_bounds_match_paper_oracles_generated(m):
 
 def test_salary_bounds_reject_an_empty_system(bench):
     system = market_core_system(bench)
-    # y1 >= 9 contradicts the box bound y1 <= 8; building the system certifies
+    # y1 >= 9 contradicts the box bound y1 <= 8; reading the copy's least
+    # solution certifies it
     with pytest.raises(CorematchError, match="positive cycle"):
         empty = replace(system, rows=system.rows + ((0, 1, 9 * system.scale),))
         salary_bounds(empty)

@@ -3,6 +3,7 @@ from itertools import permutations
 from random import Random
 
 import pytest
+from hypothesis import given, settings
 
 from corematch import (
     Allocation,
@@ -12,14 +13,20 @@ from corematch import (
     build_game,
     dual_value,
     essential_candidates,
+    essential_family,
     is_core_allocation,
-    is_inessential,
     lemaral_vector,
     marginal_vector,
 )
-from corematch.game import candidate_masks
+from corematch.game import ESSENTIAL_LIMIT, candidate_masks
 from conftest import fr
-from helpers import brute_force_core_membership, random_market
+from helpers import (
+    brute_force_core_membership,
+    is_inessential,
+    markets,
+    random_market,
+    zero_heavy_market,
+)
 
 # full coalitional table of the 2x2 tiny market, capacities (2,1)
 TINY_V = {
@@ -123,6 +130,44 @@ def test_essential_implies_candidate():
                 assert mask in cands
 
 
+def _table_family(m):
+    """The essential candidates but the grand coalition that the game table
+    finds essential, with their table values, in candidate order."""
+    g = build_game(m)
+    return [
+        (mask, g.values[mask])
+        for mask in candidate_masks(m.capacities, m.n_workers)
+        if mask != g.grand_mask and not is_inessential(g, g.coalition_of(mask))
+    ]
+
+
+def test_essential_family_is_the_table_family():
+    rng = Random(37)
+    for _ in range(120):
+        m = zero_heavy_market(rng)
+        assert list(essential_family(m).items()) == _table_family(m)
+
+
+@given(markets())
+@settings(max_examples=60, deadline=None)
+def test_essential_family_on_hypothesis_markets(m):
+    assert list(essential_family(m).items()) == _table_family(m)
+
+
+def test_essential_family_limit():
+    workers = tuple(f"w{j}" for j in range(1, 12))
+    # 12 singletons plus f1 with 1..5 of its 11 positive workers: 1,035
+    m = Market(("f1",), (5,), workers, ((F(1),) * 11,))
+    with pytest.raises(
+        LimitExceededError,
+        match=f"1035 essential coalitions exceeds the limit {ESSENTIAL_LIMIT}",
+    ):
+        essential_family(m)
+    # a zero entry drops every coalition holding its worker: 12 + 637
+    m = Market(("f1",), (5,), workers, ((F(0),) + (F(1),) * 10,))
+    assert len(essential_family(m)) == 649
+
+
 def test_marginal_vector_telescopes(tiny):
     g = build_game(tiny)
     rng = Random(5)
@@ -174,13 +219,13 @@ def test_no_lemaral_starting_at_f1_is_in_core(tiny):
         assert vec[g.player_index("f1")] == 4
         assert vec[g.player_index("f1")] > core_max_f1
         alloc = Allocation(tuple(vec[:2]), tuple(vec[2:]))
-        assert not is_core_allocation(g, alloc)
+        assert not is_core_allocation(tiny, alloc)
 
 
 def test_extreme_core_point_is_no_lemaral(tiny):
     g = build_game(tiny)
     target = (F(2), F(0), F(3), F(2))
-    assert is_core_allocation(g, Allocation(target[:2], target[2:]))
+    assert is_core_allocation(tiny, Allocation(target[:2], target[2:]))
     for order in permutations(g.players):
         assert lemaral_vector(g, order) != target
 

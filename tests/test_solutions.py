@@ -29,12 +29,14 @@ from corematch import (
     tau_value,
     firm_payoffs,
     is_convex_market,
+    CorematchError,
 )
 from conftest import fr
 from helpers import (
     brute_force_convex,
     brute_force_core_membership,
     brute_force_vertices,
+    nucleolus_all_coalitions,
     random_balanced_market,
     random_market,
 )
@@ -84,19 +86,17 @@ def test_kernel_segment_ones(ones):
 def test_kernel_not_inside_core(ones):
     g = build_game(ones)
     z = Allocation((F(1), F(1)), (THIRD,) * 3)
-    assert is_in_kernel(g, z) and not is_core_allocation(g, z)
+    assert is_in_kernel(g, z) and not is_core_allocation(ones, z)
 
 
 def test_kernel_core_reduction_vacuous_on_ones(ones):
-    g = build_game(ones)
     z = Allocation((F(0), F(0)), (F(1),) * 3)
-    assert kernel_core_test(ones, g, z)
+    assert kernel_core_test(ones, z)
 
 
 def test_kernel_core_test_rejects_non_core(ones):
-    g = build_game(ones)
     with pytest.raises(NotInCoreError):
-        kernel_core_test(ones, g, Allocation((F(1), F(1)), (THIRD,) * 3))
+        kernel_core_test(ones, Allocation((F(1), F(1)), (THIRD,) * 3))
 
 
 def test_kernel_core_agrees_with_full_kernel_on_core_points():
@@ -113,7 +113,7 @@ def test_kernel_core_agrees_with_full_kernel_on_core_points():
             samples.append(mid)
         for y in samples:
             alloc = firm_payoffs(bm, mu, y)
-            assert kernel_core_test(m, g, alloc) == is_in_kernel(g, alloc)
+            assert kernel_core_test(m, alloc) == is_in_kernel(g, alloc)
 
 
 def test_nucleolus_bench(bench):
@@ -123,10 +123,9 @@ def test_nucleolus_bench(bench):
 
 
 def test_nucleolus_ones_is_the_core_point(ones):
-    g = build_game(ones)
     expected = Allocation((F(0), F(0)), (F(1), F(1), F(1)))
-    assert nucleolus(ones, g) == expected
-    assert nucleolus(ones, g, family="all") == expected
+    assert nucleolus(ones) == expected
+    assert nucleolus_all_coalitions(build_game(ones)) == expected
 
 
 def test_nucleolus_single_pair():
@@ -134,12 +133,43 @@ def test_nucleolus_single_pair():
     assert nucleolus(m) == Allocation((F(5, 2),), (F(5, 2),))
 
 
+def diagonal_market(n: int) -> Market:
+    """Firm i values only worker i, at 2i; all capacities 1."""
+    return Market(
+        tuple(f"f{i}" for i in range(1, n + 1)),
+        (1,) * n,
+        tuple(f"w{j}" for j in range(1, n + 1)),
+        tuple(
+            tuple(F(2 * i) if i == j else F(0) for j in range(1, n + 1))
+            for i in range(1, n + 1)
+        ),
+    )
+
+
+def test_nucleolus_beyond_the_game_table_limit():
+    m = diagonal_market(9)
+    assert m.n_firms + m.n_workers == 18
+    halves = tuple(F(i) for i in range(1, 10))
+    assert nucleolus(m) == Allocation(halves, halves)
+
+
+def test_kernel_paths_reject_a_misplaced_payoff(bench):
+    moved = Allocation((F(4), F(9, 4), F(23, 4)), (F(17, 4), F(7, 4)))
+    g = build_game(bench)
+    for check in (
+        lambda: is_in_kernel(g, moved),
+        lambda: max_surplus(g, moved, "f1", "f2"),
+        lambda: kernel_core_test(bench, moved),
+    ):
+        with pytest.raises(CorematchError, match="3 firm payoffs and 2 salaries"):
+            check()
+
+
 def test_nucleolus_families_agree_on_random_markets():
     rng = Random(101)
     for _ in range(15):
         m = random_market(rng, max_workers=4)
-        g = build_game(m)
-        assert nucleolus(m, g) == nucleolus(m, g, family="all")
+        assert nucleolus(m) == nucleolus_all_coalitions(build_game(m))
 
 
 def test_nucleolus_in_core_and_kernel():
@@ -147,7 +177,7 @@ def test_nucleolus_in_core_and_kernel():
     for _ in range(12):
         m = random_balanced_market(rng, n_workers=rng.randint(2, 4))
         g = build_game(m)
-        nuc = nucleolus(m, g)
+        nuc = nucleolus(m)
         assert brute_force_core_membership(g, nuc.firm_payoffs + nuc.worker_payoffs)
         assert is_in_kernel(g, nuc)
 
@@ -182,7 +212,7 @@ def test_tau_bench(bench):
     # outside the core: the single-firm pair {f2, w3} can improve
     assert tau.firm_payoffs[1] + tau.worker_payoffs[2] == F(104, 28)
     assert F(104, 28) < 4 == build_game(bench).value(("f2", "w3"))
-    assert not is_core_allocation(g, tau)
+    assert not is_core_allocation(bench, tau)
 
 
 def test_tau_on_dominant_diagonal_is_half_side_optimal(dd):
@@ -291,4 +321,4 @@ def test_convexity_matches_game_convexity():
 
 def test_tau_core_violation_witness(bench):
     g = build_game(bench)
-    assert core_violation(g, tau_value(g)) is not None
+    assert core_violation(bench, tau_value(g)) is not None
