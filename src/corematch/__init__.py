@@ -20,7 +20,6 @@ from .core import (
     firm_payoffs,
     is_competitive_equilibrium,
     is_core_allocation,
-    is_in_worker_core,
     is_maximum,
     is_minimum,
     market_core_system,
@@ -57,7 +56,6 @@ from .kaneko import (
     ce_vertices,
     extended_tight_digraph,
     optimal_assignment,
-    seller_payoffs,
 )
 from .market import (
     BalancedMarket,
@@ -97,7 +95,7 @@ from .solutions import (
 )
 from .tight_digraph import (
     TightDigraph,
-    build_tight_digraph,
     is_extreme,
+    tight_digraph_of_system,
     to_dot,
 )

@@ -16,27 +16,21 @@ from fractions import Fraction
 from functools import cache
 
 from . import __version__
-from .core import (
-    Allocation,
-    firm_payoffs,
-    is_in_worker_core,
-    market_core_system,
-    salary_bounds,
-)
+from .core import Allocation, firm_payoffs, market_core_system, salary_bounds
 from .errors import CorematchError
 from .game import build_game
 from .kaneko import (
     BuyerMarket,
     _ce_system,
     buyer_core_constraints,
+    ce_constraints,
     ce_vertices,
     extended_tight_digraph,
-    optimal_assignment,
 )
-from .market import Market, RawMarket, balance, surplus_matrix
+from .market import Market, RawMarket, surplus_matrix
 from .matching import optimal_matching
 from .maxmin import enumerate_extremes, maxmin_table
-from .rationals import format_decimal, format_rational, parse_rational
+from .rationals import format_decimal, format_rational, parse_int, parse_rational
 from .solutions import (
     fair_division,
     has_dominant_diagonal,
@@ -61,9 +55,7 @@ def parse_market(path: str) -> ParsedMarket:
     decimal literal."""
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(
-                fh, parse_float=Decimal, parse_int=int
-            )
+            data = json.load(fh, parse_float=Decimal, parse_int=parse_int)
     except OSError as exc:
         raise CorematchError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -73,6 +65,8 @@ def parse_market(path: str) -> ParsedMarket:
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal over rationals.MAX_DIGITS
+        raise CorematchError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise CorematchError(f"{path}: expected a JSON object at the top level")
     mode = data.get("mode", "job-market")
@@ -370,19 +364,18 @@ def _cmd_match(m: Market, fmt) -> list[str]:
 def _cmd_core_check(m: Market, text: str, fmt) -> list[str]:
     y = _parse_vector(text, m.n_workers, "salaries")
     system = market_core_system(m)
-    inside = is_in_worker_core(system, y)
+    inside = system.contains(y)
     lines = [f"in core: {'yes' if inside else 'no'}"]
     if inside:
-        alloc = firm_payoffs(system.bm, system.matching, y)
+        alloc = firm_payoffs(system, y)
         lines.append(_alloc_line("firm payoffs", m.firm_ids, alloc.firm_payoffs, fmt))
     return lines
 
 
 def _cmd_salaries(m: Market, want_min: bool, fmt) -> list[str]:
     system = market_core_system(m)
-    y = system.least if want_min else salary_bounds(system)[1]
-    y = system.bm.strip_worker_vector(y)
-    alloc = firm_payoffs(system.bm, system.matching, y)
+    y = (system.least if want_min else salary_bounds(system)[1])[: m.n_workers]
+    alloc = firm_payoffs(system, y)
     return [
         _alloc_line("salaries", m.worker_ids, y, fmt),
         _alloc_line("firm payoffs", m.firm_ids, alloc.firm_payoffs, fmt),
@@ -395,17 +388,17 @@ def _alloc_line(label, ids, values, fmt) -> str:
 
 
 def _cmd_extremes(m: Market, args, fmt) -> list[str]:
-    bm = balance(m)
+    system = market_core_system(m)
     if args.witnesses:
-        rows = maxmin_table(bm)
+        rows = maxmin_table(system)
         lines = []
         for order, vec, ok in rows:
-            y = " ".join(fmt(v) for v in bm.strip_worker_vector(vec))
+            y = " ".join(fmt(v) for v in vec[: m.n_workers])
             lines.append(f"{order.label():<24} | {y} | {'+' if ok else '-'}")
         in_core = sum(1 for _, _, ok in rows if ok)
         lines.append(f"extended orders: {len(rows)}, in core: {in_core}")
         return lines
-    extremes = enumerate_extremes(bm)
+    extremes = enumerate_extremes(system)
     if args.json:
         payload = [
             {
@@ -486,7 +479,7 @@ def _cmd_kaneko(b: BuyerMarket, args, fmt) -> list[str]:
         return lines
     x = _parse_vector(args.payoffs, len(b.buyer_ids), "buyer payoffs")
     if sub == "digraph":
-        digraph = extended_tight_digraph(b, optimal_assignment(b), x)
+        digraph = extended_tight_digraph(ce_constraints(b), x)
         if args.dot:
             return [to_dot(digraph).rstrip("\n")]
         return [f"{t} -> {h}" for t, h in digraph.arc_pairs()]

@@ -1,12 +1,16 @@
 """Worker-space core, competitive equilibria, and extreme salary bounds.
 
-For a capacity-balanced market with reference optimal matching mu, the core
-projects onto worker salaries as a system of at most n^2 + 2n difference
-constraints, all of the form y[head] - y[tail] >= rhs over the node set
-workers + {0}, where node 0 carries the fixed salary 0. Firm payoffs are then
-determined, so membership, extremality, and the salary bounds can all be
-decided in this space. The same rows certify mu: a saturating matching is
-optimal exactly when they have a solution.
+For a market with reference optimal matching mu, the core projects onto
+worker salaries as a system of at most n^2 + 2n difference constraints, all
+of the form y[head] - y[tail] >= rhs over the node set workers + {0}, where
+node 0 carries the fixed salary 0. Firm payoffs are then determined, so
+membership, extremality, and the salary bounds can all be decided in this
+space. The same rows certify mu: a saturating matching is optimal exactly
+when they have a solution.
+
+Public functions take the caller's market and matching, or the
+``CoreConstraintSystem`` built from them; only this module sees the
+zero-surplus padding (``market.balance``) that the system is built on.
 
 The minimum and maximum competitive salary vectors are the least and the
 greatest solution of that system, read off longest paths to and from node 0
@@ -24,9 +28,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .errors import CorematchError, NotBalancedError, NotInCoreError, NotOptimalError
+from .errors import CorematchError, NotInCoreError, NotOptimalError
 from .game import essential_family
-from .market import BalancedMarket, Market, RawMarket, balance, surplus_matrix
+from .market import Market, RawMarket, balance, surplus_matrix
 from .matching import (
     Matching,
     _scaled,
@@ -62,7 +66,13 @@ class CoreConstraint:
 
 @dataclass(frozen=True)
 class CoreConstraintSystem:
-    """The worker-space core of a balanced market at a reference matching.
+    """The worker-space core of a market at a reference optimal matching.
+
+    ``market`` and ``matching`` are the caller's; ``_padded`` is the market
+    balanced by ``market.balance``. Nodes 1..n are its workers: the market's,
+    then any dummies filling spare seats; node 0 is the ground. ``firm_of``
+    is each node's firm index, index market.n_firms being the dummy firm of
+    the workers left over when seats are short.
 
     ``rows`` holds integer triples (tail, head, rhs), each meaning
     y[head] - y[tail] >= rhs / scale. ``least``, the least solution of the
@@ -70,11 +80,12 @@ class CoreConstraintSystem:
     positive cycle raises ``CorematchError`` there.
     """
 
-    bm: BalancedMarket
+    market: Market
     matching: Matching
     firm_of: tuple[int, ...]
     scale: int
     rows: tuple[tuple[int, int, int], ...]
+    _padded: Market
 
     @cached_property
     def least(self) -> tuple[Fraction, ...]:
@@ -83,7 +94,13 @@ class CoreConstraintSystem:
 
     @property
     def n_workers(self) -> int:
-        return self.bm.market.n_workers
+        """The number of worker nodes, dummies included."""
+        return len(self.firm_of)
+
+    @property
+    def worker_ids(self) -> tuple[str, ...]:
+        """The ids of nodes 1..n: the market's workers, then the dummies."""
+        return self._padded.worker_ids
 
     @property
     def constraints(self) -> tuple[CoreConstraint, ...]:
@@ -91,15 +108,23 @@ class CoreConstraintSystem:
         s = self.scale
         return tuple(CoreConstraint(t, h, Fraction(w, s)) for t, h, w in self.rows)
 
+    def node_vector(self, y: Sequence) -> tuple:
+        """``y`` on all n worker nodes: the market's salaries followed by a
+        zero per dummy, or a vector of n salaries as is; other lengths raise."""
+        k = self.market.n_workers
+        if len(y) not in (k, self.n_workers):
+            raise CorematchError(f"expected {k} salaries, got {len(y)}")
+        return tuple(y) + (ZERO,) * (self.n_workers - len(y))
+
     def contains(self, y: Sequence[Fraction]) -> bool:
         """Exact membership test for the competitive salary polytope; ``y``
-        holds the salaries of the original or of the balanced workers."""
-        d, (v,) = _scaled([(0,) + self.bm.extend_worker_vector(y)])
+        holds the salaries of the market's workers or of all n nodes."""
+        d, (v,) = _scaled([(0,) + self.node_vector(y)])
         s = self.scale
         return all((v[h] - v[t]) * s >= w * d for t, h, w in self.rows)
 
     def tight_constraints(self, y: Sequence[Fraction]) -> tuple[CoreConstraint, ...]:
-        d, (v,) = _scaled([(0,) + self.bm.extend_worker_vector(y)])
+        d, (v,) = _scaled([(0,) + self.node_vector(y)])
         s = self.scale
         return tuple(
             CoreConstraint(t, h, Fraction(w, s))
@@ -108,16 +133,18 @@ class CoreConstraintSystem:
         )
 
 
-def _saturating_arrays(bm: BalancedMarket, mu: Matching) -> tuple[list, list]:
-    m = bm.market
-    if not m.is_balanced:
-        raise NotBalancedError("internal: balanced market expected")
+def _node_firms(m: Market, mu: Matching) -> list[int]:
+    """The firm index of every worker node once ``mu`` is extended to the
+    balanced market: dummy workers fill each firm's vacancies in firm order,
+    and the workers ``mu`` leaves unmatched go to the dummy firm."""
     firm_of, workers_of = matching_arrays(m, mu)
-    if any(f is None for f in firm_of):
+    if len(mu.pairs) < min(m.total_capacity, m.n_workers):
         raise NotOptimalError(
-            "reference matching must assign every worker of the balanced market"
+            "reference matching leaves a seat and a worker both free"
         )
-    return firm_of, workers_of
+    return [m.n_firms if f is None else f for f in firm_of] + [
+        i for i, ws in enumerate(workers_of) for _ in range(m.capacities[i] - len(ws))
+    ]
 
 
 def _pair_rows(
@@ -136,24 +163,31 @@ def _pair_rows(
     return rows
 
 
-def core_constraints(bm: BalancedMarket, mu: Matching) -> CoreConstraintSystem:
-    """Build the worker-space core system for ``bm`` at optimal matching ``mu``.
+def _same_firm_rows(system: CoreConstraintSystem) -> tuple[tuple[int, int, int], ...]:
+    """The pair rows between workers of one firm, on the system's scale."""
+    _, a = _scaled(system._padded.matrix)
+    return tuple(_pair_rows(a, system.firm_of, same_firm=True))
 
-    Rows: 0 <= y_j <= a[mu(j)][j] for every worker, and
-    y_k - y_j >= a[mu(j)][k] - a[mu(j)][j] for workers of different firms,
+
+def core_constraints(m: Market, mu: Matching) -> CoreConstraintSystem:
+    """Build the worker-space core system of ``m`` at its optimal matching ``mu``.
+
+    Rows: 0 <= y_j <= a[mu(j)][j] for every worker node, and
+    y_k - y_j >= a[mu(j)][k] - a[mu(j)][j] for nodes of different firms,
     all scaled by the common denominator of the matrix.
     The rows certify ``mu``: by LP duality a saturating matching is optimal
     exactly when some salary vector satisfies them, so building the system
-    solves it for ``least`` and raises ``NotOptimalError`` on a positive cycle.
+    solves it for ``least`` and raises ``NotOptimalError`` on a positive
+    cycle, as it does when ``mu`` leaves a seat and a worker both free.
     """
-    m = bm.market
-    firm_of, _ = _saturating_arrays(bm, mu)
-    scale, a = _scaled(m.matrix)
-    n = m.n_workers
+    firm_of = _node_firms(m, mu)
+    padded = balance(m).market
+    scale, a = _scaled(padded.matrix)
+    n = len(firm_of)
     rows = [(0, j + 1, 0) for j in range(n)]
     rows += [(j + 1, 0, -a[firm_of[j]][j]) for j in range(n)]
     rows += _pair_rows(a, firm_of, same_firm=False)
-    system = CoreConstraintSystem(bm, mu, tuple(firm_of), scale, tuple(rows))
+    system = CoreConstraintSystem(m, mu, tuple(firm_of), scale, tuple(rows), padded)
     try:
         system.least
     except CorematchError:
@@ -164,23 +198,16 @@ def core_constraints(bm: BalancedMarket, mu: Matching) -> CoreConstraintSystem:
     return system
 
 
-def is_in_worker_core(system: CoreConstraintSystem, y: Sequence[Fraction]) -> bool:
-    """True iff ``y`` is a competitive salary vector of the balanced market."""
-    return system.contains(y)
-
-
-def firm_payoffs(
-    bm: BalancedMarket, mu: Matching, y: Sequence[Fraction]
-) -> Allocation:
-    """The allocation induced by salaries ``y``: x_i = sum of a[i][j] - y_j
-    over the workers matched to firm i, mapped back to the original market."""
-    m = bm.market
-    _, workers_of = _saturating_arrays(bm, mu)
-    y = bm.extend_worker_vector(y)
-    x = []
-    for i in range(bm.n_original_firms):
-        x.append(sum((m.matrix[i][j] - y[j] for j in workers_of[i]), ZERO))
-    return Allocation(tuple(x), bm.strip_worker_vector(y))
+def firm_payoffs(system: CoreConstraintSystem, y: Sequence[Fraction]) -> Allocation:
+    """The allocation induced by salaries ``y`` (of the market's workers or
+    of all n nodes): x_i = sum of a[i][j] - y_j over the workers of firm i."""
+    y = system.node_vector(y)
+    a = system._padded.matrix
+    x = [ZERO] * system.market.n_firms
+    for j, i in enumerate(system.firm_of):
+        if i < len(x):
+            x[i] += a[i][j] - y[j]
+    return Allocation(tuple(x), y[: system.market.n_workers])
 
 
 def _payoff_vector(alloc: Allocation, n_firms: int, n_workers: int) -> list:
@@ -257,20 +284,15 @@ def is_competitive_equilibrium(
 
 
 def market_core_system(m: Market) -> CoreConstraintSystem:
-    """The worker-space core system of ``m``: balanced, at its optimal matching."""
-    return _system_at_optimum(balance(m))
-
-
-def _system_at_optimum(bm: BalancedMarket) -> CoreConstraintSystem:
-    """The core system of a balanced market at its optimal matching."""
-    return core_constraints(bm, optimal_matching(bm.market).matching)
+    """The worker-space core system of ``m`` at its optimal matching."""
+    return core_constraints(m, optimal_matching(m).matching)
 
 
 def salary_bounds(
     system: CoreConstraintSystem,
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """The least and the greatest solution of a difference-constraint system,
-    as (lowest, highest) salary vectors of its balanced market.
+    as (lowest, highest) vectors of n salaries.
 
     The least solution is the longest-path distance from node 0 along arcs
     tail -> head of weight rhs, kept from the pass that built the system; the
@@ -285,25 +307,23 @@ def salary_bounds(
 def _require_member(
     system: CoreConstraintSystem, y: Sequence, what: str = "competitive salary vector"
 ) -> tuple:
-    """``y`` as a balanced-space vector; raises ``NotInCoreError``, showing
-    ``y`` as given, unless it satisfies every row of the system."""
+    """``y`` on all n worker nodes; raises ``NotInCoreError``, showing ``y``
+    as given, unless it satisfies every row of the system."""
     if not system.contains(y):
         shown = ", ".join(format_rational(Fraction(v)) for v in y)
         raise NotInCoreError(f"({shown}) is not a {what}")
-    return system.bm.extend_worker_vector(y)
+    return system.node_vector(y)
 
 
-def is_minimum(bm: BalancedMarket, mu: Matching, y: Sequence[Fraction]) -> bool:
+def is_minimum(system: CoreConstraintSystem, y: Sequence[Fraction]) -> bool:
     """True iff ``y`` is the minimum competitive salary vector, the least
     solution of the core system; raises unless ``y`` is in the core."""
-    system = core_constraints(bm, mu)
     return _require_member(system, y) == system.least
 
 
-def is_maximum(bm: BalancedMarket, mu: Matching, y: Sequence[Fraction]) -> bool:
+def is_maximum(system: CoreConstraintSystem, y: Sequence[Fraction]) -> bool:
     """True iff ``y`` is the maximum competitive salary vector, the greatest
     solution of the core system; raises unless ``y`` is in the core."""
-    system = core_constraints(bm, mu)
     return _require_member(system, y) == salary_bounds(system)[1]
 
 
@@ -331,15 +351,13 @@ def _longest_paths(n_nodes: int, arcs: Sequence[tuple[int, int, int]]) -> list[i
 def max_competitive_salaries(m: Market) -> tuple[Fraction, ...]:
     """The worker-optimal salary vector: the greatest solution of the core
     system (the paper's marginal contributions, kept as a test oracle)."""
-    system = market_core_system(m)
-    return system.bm.strip_worker_vector(salary_bounds(system)[1])
+    return salary_bounds(market_core_system(m))[1][: m.n_workers]
 
 
 def min_competitive_salaries(m: Market) -> tuple[Fraction, ...]:
     """The firm-optimal salary vector: the least solution of the core system
     (the paper's clone values, kept as a test oracle)."""
-    system = market_core_system(m)
-    return system.bm.strip_worker_vector(system.least)
+    return market_core_system(m).least[: m.n_workers]
 
 
 @dataclass(frozen=True)
@@ -362,7 +380,7 @@ class DecreaseReport:
 
 
 def constant_decrease(
-    raw: RawMarket, firm_id: str, c: Fraction, *, limit: int = 10
+    raw: RawMarket, firm_id: str, c: Fraction
 ) -> tuple[RawMarket, DecreaseReport]:
     """Decrease all hire values of one firm by ``c`` (floored at zero) and
     report whether the decrease satisfies the invariance conditions."""
@@ -380,13 +398,13 @@ def constant_decrease(
     )
     decreased = surplus_matrix(decreased_raw)
 
-    old_optimal = all_optimal_matchings(market, limit=limit)
+    old_optimal = all_optimal_matchings(market)
     within = True
     for mu in old_optimal:
         for w in mu.workers_of(firm_id):
             if c > market.matrix[i0][market.worker_index(w)]:
                 within = False
-    new_optimal = set(all_optimal_matchings(decreased, limit=limit))
+    new_optimal = set(all_optimal_matchings(decreased))
     keeps = all(mu in new_optimal for mu in old_optimal)
     return decreased_raw, DecreaseReport(firm_id, c, within, keeps)
 
@@ -396,7 +414,7 @@ def max_valid_decrease(m: Market, firm_id: str) -> Fraction:
     margin a[i0][j] - min_salary_j over its optimally matched workers."""
     i0 = m.firm_index(firm_id)
     system = market_core_system(m)
-    # original workers come first in the balanced market; dummies follow
+    # the market's workers come first among the nodes; dummies follow
     matched = [j for j in range(m.n_workers) if system.firm_of[j] == i0]
     if not matched:
         raise CorematchError(

@@ -24,6 +24,9 @@ ZERO = Fraction(0)
 #: nucleolus level program.
 ESSENTIAL_LIMIT = 1024
 
+#: Most players ``build_game`` tabulates: the table has 2^N entries.
+GAME_LIMIT = 16
+
 #: A PlayerOrder is a permutation of the game's player ids.
 PlayerOrder = Sequence[str]
 
@@ -79,17 +82,17 @@ class GameTable:
         return sums
 
 
-def build_game(m: Market, limit: int = 16) -> GameTable:
+def build_game(m: Market) -> GameTable:
     """The assignment game of ``m``: v(S ∪ T) is the optimal matching value of
     the submarket on firms S and workers T.
 
     Computed by dynamic programming over worker subsets, one firm at a time.
-    Capped at ``limit`` players since the table has 2^N entries.
+    Capped at ``GAME_LIMIT`` players.
     """
     n_players = m.n_firms + m.n_workers
-    if n_players > limit:
+    if n_players > GAME_LIMIT:
         raise LimitExceededError(
-            f"{n_players} players exceeds the game-table limit {limit}"
+            f"{n_players} players exceeds the game-table limit {GAME_LIMIT}"
         )
     nf, nw = m.n_firms, m.n_workers
     full_w = (1 << nw) - 1

@@ -15,21 +15,17 @@ from typing import Sequence
 
 from . import _kernels
 from .core import (
-    Allocation,
     CoreConstraintSystem,
-    _pair_rows,
     _require_member,
-    _system_at_optimum,
-    core_constraints,
+    _same_firm_rows,
     firm_payoffs,
+    market_core_system,
 )
 from .errors import CorematchError
-from .market import BalancedMarket, Market, balance
-from .matching import Matching, _scaled, matching_arrays, optimal_matching
+from .market import Market
+from .matching import Matching, optimal_matching
 from .maxmin import _scan
 from .tight_digraph import TightDigraph
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -52,75 +48,47 @@ class BuyerMarket:
         )
         job = Market(self.seller_ids, self.capacities, self.buyer_ids, transposed)
         object.__setattr__(self, "matrix", tuple(tuple(r) for r in self.matrix))
-        object.__setattr__(self, "_balanced", balance(job))
+        object.__setattr__(self, "_job", job)
 
-    def balanced(self) -> BalancedMarket:
-        return self._balanced
+    def as_job_market(self) -> Market:
+        """The transposed market: sellers as firms, buyers as workers."""
+        return self._job
 
 
 def optimal_assignment(b: BuyerMarket) -> Matching:
-    """Optimal matching of the balanced transposed market; pairs are
+    """Optimal matching of the transposed market; pairs are
     (seller id, buyer id)."""
-    return optimal_matching(b.balanced().market).matching
+    return optimal_matching(b.as_job_market()).matching
 
 
-def buyer_core_constraints(
-    b: BuyerMarket, mu: Matching | None = None
-) -> CoreConstraintSystem:
+def buyer_core_constraints(b: BuyerMarket) -> CoreConstraintSystem:
     """The buyer-space core: boxes plus difference constraints between buyers
-    of different sellers."""
-    if mu is None:
-        return _system_at_optimum(b.balanced())
-    return core_constraints(b.balanced(), mu)
+    of different sellers, at the optimal assignment."""
+    return market_core_system(b.as_job_market())
 
 
-def ce_constraints(
-    b: BuyerMarket, mu: Matching | None = None
-) -> CoreConstraintSystem:
+def ce_constraints(b: BuyerMarket) -> CoreConstraintSystem:
     """The competitive-equilibrium payoff set: the core constraints plus the
     difference constraints between buyers of the same seller, which force a
     single per-unit price per seller."""
-    return _ce_system(buyer_core_constraints(b, mu))
+    return _ce_system(buyer_core_constraints(b))
 
 
 def _ce_system(core: CoreConstraintSystem) -> CoreConstraintSystem:
     """The CE system of a buyer core system: its rows plus the same-seller
     rows. It is not solved: the CE set at an optimal matching is never empty."""
-    _, a = _scaled(core.bm.market.matrix)
-    extra = _pair_rows(a, core.firm_of, same_firm=True)
-    return replace(core, rows=core.rows + tuple(extra))
-
-
-def seller_payoffs(
-    b: BuyerMarket, mu: Matching, x: Sequence[Fraction]
-) -> Allocation:
-    """Allocation induced by buyer payoffs x: each seller collects the
-    residual a[i][j] - x_i over its buyers."""
-    return firm_payoffs(b.balanced(), mu, x)
+    return replace(core, rows=core.rows + _same_firm_rows(core))
 
 
 def ce_prices(
-    b: BuyerMarket, x: Sequence[Fraction], mu: Matching | None = None
-) -> tuple[Fraction, ...]:
-    """Per-seller unit prices supporting a CE payoff vector."""
-    return _prices(ce_constraints(b, mu), x)
-
-
-def _prices(
     system: CoreConstraintSystem, x: Sequence[Fraction]
 ) -> tuple[Fraction, ...]:
-    """Prices of a payoff vector in the CE system ``system``."""
-    x = _require_member(system, x, "CE payoff vector")
-    m = system.bm.market
-    _, buyers_of = matching_arrays(m, system.matching)
-    prices = []
-    for j in range(system.bm.n_original_firms):
-        block = buyers_of[j]
-        values = {m.matrix[j][i] - x[i] for i in block}
-        if len(values) != 1:
-            raise AssertionError("inconsistent prices inside a seller block")
-        prices.append(values.pop())
-    return tuple(prices)
+    """Per-seller unit prices supporting the payoff vector ``x`` of the CE
+    system ``system``: every unit goes, to a dummy buyer if need be, at one
+    price per seller, so the price is the seller's payoff over its capacity."""
+    _require_member(system, x, "CE payoff vector")
+    payoffs = firm_payoffs(system, x).firm_payoffs
+    return tuple(p / c for p, c in zip(payoffs, system.market.capacities))
 
 
 @dataclass(frozen=True)
@@ -129,7 +97,7 @@ class CEVertex:
     prices: tuple[Fraction, ...]
 
 
-def ce_vertices(b: BuyerMarket, *, limit: int = 8) -> tuple[CEVertex, ...]:
+def ce_vertices(b: BuyerMarket) -> tuple[CEVertex, ...]:
     """All extreme CE payoff vectors (projected to the original buyers).
 
     The max-min scan runs on the CE constraint system, whose predecessor
@@ -138,7 +106,8 @@ def ce_vertices(b: BuyerMarket, *, limit: int = 8) -> tuple[CEVertex, ...]:
     tests check it against brute-force vertex enumeration. Buyers whose box is a
     single point (dummies, buyers of the dummy seller, zero values) are
     folded into node 0 first: their rows become rows on node 0 shifted by
-    the pinned value, so ``limit`` counts only the buyers that are scanned.
+    the pinned value, so ``maxmin.SCAN_LIMIT`` counts only the buyers that
+    are scanned.
     """
     system = ce_constraints(b)
     n = system.n_workers
@@ -155,22 +124,22 @@ def ce_vertices(b: BuyerMarket, *, limit: int = 8) -> tuple[CEVertex, ...]:
         for t, h, w in system.rows
         if node[t] != node[h]
     ]
-    _, _, witnesses = _scan(len(free), rows, limit, agents="buyers")
+    _, _, witnesses = _scan(len(free), rows, agents="buyers")
     out = []
     # pinned salaries are constant, so z's order is the order of the vertices
     for z in sorted(witnesses):
         z = (0,) + z
         x = tuple(Fraction(z[i] + d, system.scale) for i, d in zip(node, shift))[1:]
-        out.append(CEVertex(system.bm.strip_worker_vector(x), _prices(system, x)))
+        out.append(CEVertex(x[: len(b.buyer_ids)], ce_prices(system, x)))
     return tuple(out)
 
 
 def extended_tight_digraph(
-    b: BuyerMarket, mu: Matching, x: Sequence[Fraction]
+    system: CoreConstraintSystem, x: Sequence[Fraction]
 ) -> TightDigraph:
-    """Tight digraph over buyers + ground node built from all CE constraints;
-    same-seller equalities contribute arcs in both directions."""
-    system = ce_constraints(b, mu)
+    """Tight digraph over buyers + ground node built from all rows of the CE
+    system ``system``; same-seller equalities contribute arcs in both
+    directions."""
     _require_member(system, x, "CE payoff vector")
     return TightDigraph(system.n_workers, system.tight_constraints(x))
 
@@ -178,21 +147,11 @@ def extended_tight_digraph(
 def ce_equals_core(b: BuyerMarket) -> bool:
     """Sufficient condition for every core element to be competitive: moving
     any buyer from its seller to another seller's buyer slot (swapping with a
-    buyer there) never gains in total value."""
-    bm = b.balanced()
-    m = bm.market
-    mu = optimal_matching(m).matching
-    _, buyers_of = matching_arrays(m, mu)
-    n_sellers = m.n_firms
-    for j in range(n_sellers):
-        for jp in range(n_sellers):
-            if j == jp:
-                continue
-            for i in buyers_of[j]:
-                for ip in buyers_of[jp]:
-                    if (
-                        m.matrix[jp][i] + m.matrix[j][ip]
-                        < m.matrix[j][i] + m.matrix[jp][ip]
-                    ):
-                        return False
-    return True
+    buyer there) never loses total value.
+
+    Buyers i of seller j and i' of seller j' swap without loss exactly when
+    a[j'][i] - a[j][i] + a[j][i'] - a[j'][i'] >= 0, which is the rhs of the
+    core row from i to i' plus that of the row back.
+    """
+    pairs = {(t, h): w for t, h, w in buyer_core_constraints(b).rows if t and h}
+    return all(w + pairs[h, t] >= 0 for (t, h), w in pairs.items())

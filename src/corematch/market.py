@@ -170,29 +170,6 @@ class BalancedMarket:
     dummy_worker_ids: tuple[str, ...]
     dummy_firm_id: str | None
 
-    @property
-    def n_original_workers(self) -> int:
-        return self.original.n_workers
-
-    @property
-    def n_original_firms(self) -> int:
-        return self.original.n_firms
-
-    def strip_worker_vector(self, values: Sequence) -> tuple:
-        """Project a balanced-space worker vector onto the original workers."""
-        return tuple(values[: self.n_original_workers])
-
-    def extend_worker_vector(self, values: Sequence) -> tuple:
-        """A balanced-space worker vector: an original-space vector extended
-        with zeros for the dummies, or a balanced-space vector as is."""
-        if len(values) == self.market.n_workers:
-            return tuple(values)
-        if len(values) != self.n_original_workers:
-            raise CorematchError(
-                f"expected {self.market.n_workers} salaries, got {len(values)}"
-            )
-        return tuple(values) + (ZERO,) * len(self.dummy_worker_ids)
-
 
 def surplus_matrix(raw: RawMarket) -> Market:
     """Derive the surplus market: a[i][j] = max(h[i][j] - t[j], 0)."""

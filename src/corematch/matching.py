@@ -33,6 +33,9 @@ from .rationals import common_denominator
 
 ZERO = Fraction(0)
 
+#: The largest number of workers ``all_optimal_matchings`` enumerates over.
+MATCHING_LIMIT = 10
+
 
 @dataclass(frozen=True)
 class Matching:
@@ -227,15 +230,15 @@ def optimal_matching(m: Market) -> MatchingResult:
     return MatchingResult(matching, Fraction(total >> k, scale), certified)
 
 
-def all_optimal_matchings(m: Market, limit: int = 10) -> tuple[Matching, ...]:
+def all_optimal_matchings(m: Market) -> tuple[Matching, ...]:
     """All matchings attaining the optimal value, canonically ordered.
 
     Exhaustive over worker assignments with an upper-bound prune, so it is
-    restricted to markets with at most ``limit`` workers.
+    restricted to markets with at most ``MATCHING_LIMIT`` workers.
     """
-    if m.n_workers > limit:
+    if m.n_workers > MATCHING_LIMIT:
         raise LimitExceededError(
-            f"{m.n_workers} workers exceeds the enumeration limit {limit}"
+            f"{m.n_workers} workers exceeds the enumeration limit {MATCHING_LIMIT}"
         )
     best = _market_value(m.matrix, m.capacities)
     col_max = [

@@ -21,10 +21,12 @@ from itertools import permutations
 from typing import Sequence
 
 from . import _kernels
-from .core import Allocation, _system_at_optimum, firm_payoffs
+from .core import Allocation, CoreConstraintSystem, firm_payoffs
 from .errors import LimitExceededError
-from .market import BalancedMarket
 from .matching import _scaled
+
+#: The largest number of agents the n! * 2^n scan runs over.
+SCAN_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -64,53 +66,49 @@ class ExtremeSet:
         return sum(len(p.witnesses) for p in self.points)
 
 
-def _scan(n: int, rows, limit: int, collect_rows=False, agents="workers"):
+def _scan(n: int, rows, collect_rows=False, agents="workers"):
     """Run the extended-order scan over integer rows on nodes 0..n."""
-    if n > limit:
-        raise LimitExceededError(f"{n} {agents} exceeds the enumeration limit {limit}")
+    if n > SCAN_LIMIT:
+        raise LimitExceededError(
+            f"{n} {agents} exceeds the enumeration limit {SCAN_LIMIT}"
+        )
     perms = list(permutations(range(n)))
     table, witnesses = _kernels.scan_orders(perms, n, rows, collect_rows)
     return perms, table, witnesses
 
 
-def _order_from_code(m, perm, bits: int) -> ExtendedOrder:
+def _order_from_code(worker_ids, perm, bits: int) -> ExtendedOrder:
     n = len(perm)
     return ExtendedOrder(
-        tuple(m.worker_ids[perm[pos]] for pos in range(n)),
+        tuple(worker_ids[perm[pos]] for pos in range(n)),
         tuple(bool(bits >> (n - 1 - pos) & 1) for pos in range(n)),
     )
 
 
-def enumerate_extremes(bm: BalancedMarket, *, limit: int = 8) -> ExtremeSet:
+def enumerate_extremes(system: CoreConstraintSystem) -> ExtremeSet:
     """All extreme competitive salary vectors, with every witnessing extended
-    order and the induced allocation on the original market."""
-    system = _system_at_optimum(bm)
-    perms, _, witnesses = _scan(system.n_workers, system.rows, limit)
-    m = bm.market
+    order and the induced allocation on the market."""
+    perms, _, witnesses = _scan(system.n_workers, system.rows)
+    ids = system.worker_ids
     points = []
     for vec in sorted(witnesses):
         salaries = tuple(Fraction(v, system.scale) for v in vec)
         orders = tuple(
-            _order_from_code(m, perms[pi], bits) for pi, bits in witnesses[vec]
+            _order_from_code(ids, perms[pi], bits) for pi, bits in witnesses[vec]
         )
-        points.append(
-            ExtremePoint(
-                salaries, firm_payoffs(bm, system.matching, salaries), orders
-            )
-        )
+        points.append(ExtremePoint(salaries, firm_payoffs(system, salaries), orders))
     return ExtremeSet(tuple(points))
 
 
 def maxmin_table(
-    bm: BalancedMarket, *, limit: int = 8
+    system: CoreConstraintSystem,
 ) -> list[tuple[ExtendedOrder, tuple[Fraction, ...], bool]]:
     """Every extended order with its max-min vector and core membership flag,
     in enumeration order (permutations lexicographic, min flags first)."""
-    system = _system_at_optimum(bm)
-    perms, table, _ = _scan(system.n_workers, system.rows, limit, collect_rows=True)
+    perms, table, _ = _scan(system.n_workers, system.rows, collect_rows=True)
     return [
         (
-            _order_from_code(bm.market, perms[pi], bits),
+            _order_from_code(system.worker_ids, perms[pi], bits),
             tuple(Fraction(v, system.scale) for v in vec),
             ok,
         )
@@ -119,17 +117,16 @@ def maxmin_table(
 
 
 def witnesses_for(
-    bm: BalancedMarket, y: Sequence[Fraction], *, limit: int = 8
+    system: CoreConstraintSystem, y: Sequence[Fraction]
 ) -> tuple[ExtendedOrder, ...]:
     """All extended orders whose max-min vector equals ``y``.
 
-    ``y`` holds the salaries of the original or of the balanced workers; any
+    ``y`` holds the salaries of the market's workers or of all n nodes; any
     other length raises. Only extreme competitive salary vectors have
     witnesses; anything else yields an empty tuple with a warning.
     """
-    d, (v,) = _scaled([bm.extend_worker_vector(y)])
-    system = _system_at_optimum(bm)
-    perms, _, witnesses = _scan(system.n_workers, system.rows, limit)
+    d, (v,) = _scaled([system.node_vector(y)])
+    perms, _, witnesses = _scan(system.n_workers, system.rows)
     # y times the system's scale is an integer vector exactly when d divides it
     s = system.scale
     codes = witnesses.get(tuple(x * (s // d) for x in v)) if s % d == 0 else None
@@ -140,5 +137,6 @@ def witnesses_for(
             stacklevel=2,
         )
         return ()
-    return tuple(_order_from_code(bm.market, perms[pi], bits) for pi, bits in codes)
+    ids = system.worker_ids
+    return tuple(_order_from_code(ids, perms[pi], bits) for pi, bits in codes)
 

@@ -11,6 +11,33 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from math import gcd
 
+from .errors import CorematchError
+
+#: Most decimal digits of any integer parsed from text or printed: CPython's
+#: default int/str conversion limit, enforced here on every version.
+MAX_DIGITS = 4300
+_TOO_BIG = 10**MAX_DIGITS
+
+
+def _check_digits(n: int) -> None:
+    if n > MAX_DIGITS:
+        raise ValueError(f"a number of {n} digits exceeds the limit {MAX_DIGITS}")
+
+
+def parse_int(text: str) -> int:
+    """An integer literal of at most ``MAX_DIGITS`` digits."""
+    _check_digits(len(text.lstrip("+-")))
+    return int(text)
+
+
+def _decimal_fraction(d: Decimal) -> Fraction:
+    """``Fraction(d)``, refused before it is built if its numerator or its
+    power-of-ten denominator would exceed ``MAX_DIGITS`` digits."""
+    _, digits, exp = d.as_tuple()
+    if isinstance(exp, int):  # NaN and infinities carry a letter
+        _check_digits(len(digits) + exp if exp >= 0 else max(len(digits), 1 - exp))
+    return Fraction(d)
+
 
 def parse_rational(value: object) -> Fraction:
     """Parse a number given as int, "p/q", or an exact decimal string.
@@ -29,17 +56,17 @@ def parse_rational(value: object) -> Fraction:
             f"refusing float {value!r}: pass an int, 'p/q', or a decimal string"
         )
     if isinstance(value, Decimal):
-        return Fraction(value)
+        return _decimal_fraction(value)
     if isinstance(value, str):
         text = value.strip()
         if "/" in text:
             num, _, den = text.partition("/")
             try:
-                return Fraction(int(num.strip()), int(den.strip()))
+                return Fraction(parse_int(num.strip()), parse_int(den.strip()))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"not a rational number: {value!r}") from exc
         try:
-            return Fraction(Decimal(text))
+            return _decimal_fraction(Decimal(text))
         except (InvalidOperation, ValueError, OverflowError) as exc:
             # Decimal accepts "NaN" and "Infinity", which have no ratio
             raise ValueError(f"not a rational number: {value!r}") from exc
@@ -49,8 +76,17 @@ def parse_rational(value: object) -> Fraction:
 def format_rational(q: Fraction) -> str:
     """Render exactly: integers as "p", everything else as "p/q"."""
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return _int_text(q.numerator)
+    return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
+
+
+def _int_text(n: int) -> str:
+    """``str(n)``; raises ``CorematchError`` above ``MAX_DIGITS`` digits."""
+    if abs(n) >= _TOO_BIG:
+        raise CorematchError(
+            f"a result of more than {MAX_DIGITS} digits is too large to print"
+        )
+    return str(n)
 
 
 def format_decimal(q: Fraction, digits: int) -> str:
@@ -66,8 +102,8 @@ def format_decimal(q: Fraction, digits: int) -> str:
     sign = "-" if floor < 0 else ""
     mag = abs(floor)
     if digits == 0:
-        return f"{sign}{mag}"
-    return f"{sign}{mag // scale}.{mag % scale:0{digits}d}"
+        return f"{sign}{_int_text(mag)}"
+    return f"{sign}{_int_text(mag // scale)}.{_int_text(mag % scale).zfill(digits)}"
 
 
 def common_denominator(values) -> int:

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .exact_lp import solve_affine, solve_lp
 from .game import GameTable, essential_family
-from .market import Market, balance
+from .market import Market
 from .matching import Matching, all_optimal_matchings, matching_arrays, optimal_matching
 
 ZERO = Fraction(0)
@@ -85,7 +85,7 @@ def is_in_kernel(g: GameTable, alloc: Allocation) -> bool:
     return True
 
 
-def kernel_core_test(m: Market, alloc: Allocation, *, limit: int = 10) -> bool:
+def kernel_core_test(m: Market, alloc: Allocation) -> bool:
     """Kernel membership for core allocations, using the two reductions that
     hold inside the core: surpluses are maximized over the essential
     coalitions only, and only pairs sharing a block in every optimal
@@ -99,15 +99,15 @@ def kernel_core_test(m: Market, alloc: Allocation, *, limit: int = 10) -> bool:
         ibit, jbit = 1 << i, 1 << j
         return max(e for s, e in excess.items() if s & ibit and not s & jbit)
 
-    return all(surplus(i, j) == surplus(j, i) for i, j in _inseparable_pairs(m, limit))
+    return all(surplus(i, j) == surplus(j, i) for i, j in _inseparable_pairs(m))
 
 
-def _inseparable_pairs(m: Market, limit: int):
+def _inseparable_pairs(m: Market):
     """Player index pairs lying in a common block under every optimal
     matching; all other pairs are automatically balanced at core points."""
     # a player's block is named by its firm; an unmatched worker j is alone
     blocks = []
-    for mu in all_optimal_matchings(m, limit=limit):
+    for mu in all_optimal_matchings(m):
         firm_of, _ = matching_arrays(m, mu)
         blocks.append(
             list(range(m.n_firms))
@@ -306,8 +306,8 @@ def fair_division(m: Market) -> Allocation:
     """Midpoint of the firm-optimal and worker-optimal core allocations."""
     system = market_core_system(m)
     lowest, highest = salary_bounds(system)
-    at_min = firm_payoffs(system.bm, system.matching, lowest)
-    at_max = firm_payoffs(system.bm, system.matching, highest)
+    at_min = firm_payoffs(system, lowest)
+    at_max = firm_payoffs(system, highest)
     half = Fraction(1, 2)
     return Allocation(
         tuple((a + b) * half for a, b in zip(at_min.firm_payoffs, at_max.firm_payoffs)),
@@ -375,7 +375,7 @@ def side_optimal_allocations(m: Market) -> tuple[Allocation, Allocation]:
     y_w = tuple(m.matrix[firm_of[j]][j] for j in range(m.n_workers))
     zeros_w = (ZERO,) * m.n_workers
     zeros_f = (ZERO,) * m.n_firms
-    system = core_constraints(balance(m), check.matching)
+    system = core_constraints(m, check.matching)
     if not (system.contains(zeros_w) and system.contains(y_w)):
         raise AssertionError("side-optimal vectors left the core")
     return Allocation(x_f, zeros_w), Allocation(zeros_f, y_w)

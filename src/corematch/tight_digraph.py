@@ -14,9 +14,7 @@ from fractions import Fraction
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import CoreConstraint, CoreConstraintSystem, _require_member, core_constraints
-from .market import BalancedMarket
-from .matching import Matching
+from .core import CoreConstraint, CoreConstraintSystem, _require_member
 
 
 @dataclass(frozen=True)
@@ -63,25 +61,19 @@ class TightDigraph:
         return tuple(v for v in range(self.n_workers + 1) if v not in tails)
 
 
-def build_tight_digraph(
-    bm: BalancedMarket, mu: Matching, y: Sequence[Fraction]
-) -> TightDigraph:
-    """The tight digraph of ``y``; raises unless y is a competitive salary
-    vector of the balanced market."""
-    return tight_digraph_of_system(core_constraints(bm, mu), y)
-
-
 def tight_digraph_of_system(
     system: CoreConstraintSystem, y: Sequence[Fraction]
 ) -> TightDigraph:
+    """The tight digraph of ``y`` on all n worker nodes; raises unless ``y``
+    is a competitive salary vector."""
     _require_member(system, y)
     return TightDigraph(system.n_workers, system.tight_constraints(y))
 
 
-def is_extreme(bm: BalancedMarket, mu: Matching, y: Sequence[Fraction]) -> bool:
+def is_extreme(system: CoreConstraintSystem, y: Sequence[Fraction]) -> bool:
     """Extremality in the salary polytope: the base-graph of the tight digraph
     is connected, i.e. the tight rows pin down every salary."""
-    return build_tight_digraph(bm, mu, y).base_graph_connected()
+    return tight_digraph_of_system(system, y).base_graph_connected()
 
 
 def to_dot(d: TightDigraph) -> str:

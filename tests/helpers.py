@@ -12,10 +12,11 @@ from corematch import (
     LimitExceededError,
     Market,
     TightDigraph,
-    build_tight_digraph,
+    balance,
     coalition_value,
     core_constraints,
     optimal_matching,
+    tight_digraph_of_system,
 )
 from corematch.game import candidate_masks
 from corematch.matching import matching_arrays
@@ -198,6 +199,28 @@ def zero_heavy_market(rng: Random, max_workers=6) -> Market:
     )
 
 
+def tie_heavy_market(rng: Random, shape: str) -> Market:
+    """A market with 1-4 firms, 0-7 workers and surpluses in {0, 1, 2}, so
+    optimal matchings tie often. "spare seats": more seats than workers;
+    "short of seats": fewer."""
+    while True:
+        caps = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+        total = sum(caps)
+        if shape == "spare seats":
+            n = rng.randint(0, min(total - 1, 7))
+        elif total < 7:
+            n = rng.randint(total + 1, 7)
+        else:
+            continue
+        break
+    return Market(
+        tuple(f"f{i}" for i in range(1, len(caps) + 1)),
+        tuple(caps),
+        tuple(f"w{j}" for j in range(1, n + 1)),
+        tuple(tuple(F(rng.choice((0, 1, 1, 2))) for _ in range(n)) for _ in caps),
+    )
+
+
 @st.composite
 def markets(draw, max_firms=3, max_workers=5):
     """Hypothesis markets: balanced, with spare seats or with too few seats."""
@@ -219,11 +242,21 @@ def markets(draw, max_firms=3, max_workers=5):
     )
 
 
-def fraction_core_rows(bm, mu, *, ce=False) -> tuple:
+def padded_optimum_system(m: Market):
+    """The core system built on the balanced market of ``m`` at that
+    market's own optimal matching, dummies included: the oracle of
+    ``market_core_system(m)``, which pads the optimal matching of ``m``."""
+    padded = balance(m).market
+    return core_constraints(padded, optimal_matching(padded).matching)
+
+
+def fraction_core_rows(market: Market, *, ce=False) -> tuple:
     """The core system's rows (tail, head, rhs), built in Fractions straight
-    from the balanced matrix, in row order: lower boxes, upper boxes,
-    cross-firm pairs and, for the CE system, the same-firm pairs."""
-    m = bm.market
+    from the balanced matrix at its optimal matching, in row order: lower
+    boxes, upper boxes, cross-firm pairs and, for the CE system, the
+    same-firm pairs."""
+    m = balance(market).market
+    mu = optimal_matching(m).matching
     a = m.matrix
     firm_of = [m.firm_index(mu.firm_of(w)) for w in m.worker_ids]
     n = m.n_workers
@@ -438,7 +471,7 @@ def vertices_of_system(system, *, limit: int = 6) -> frozenset:
 def brute_force_vertices(bm, *, limit: int = 6) -> frozenset:
     """The exact vertex set of the competitive salary polytope of ``bm``."""
     mu = optimal_matching(bm.market).matching
-    return vertices_of_system(core_constraints(bm, mu), limit=limit)
+    return vertices_of_system(core_constraints(bm.market, mu), limit=limit)
 
 
 def maxmin_vector(bm, mu, order) -> tuple:
@@ -474,17 +507,17 @@ def maxmin_vector(bm, mu, order) -> tuple:
 # compares a vector with the least and greatest solution of the core system.
 
 
-def digraph_is_minimum(bm, mu, y) -> bool:
+def digraph_is_minimum(system, y) -> bool:
     """y is the minimum competitive salary vector iff its tight digraph has a
     spanning tree directed away from node 0 (every node reachable)."""
-    d = build_tight_digraph(bm, mu, y)
+    d = tight_digraph_of_system(system, y)
     return len(d.reachable_from(0)) == d.n_workers + 1
 
 
-def digraph_is_maximum(bm, mu, y) -> bool:
+def digraph_is_maximum(system, y) -> bool:
     """y is the maximum competitive salary vector iff every node of its tight
     digraph reaches node 0 along directed arcs."""
-    d = build_tight_digraph(bm, mu, y)
+    d = tight_digraph_of_system(system, y)
     reversed_d = TightDigraph(
         d.n_workers,
         tuple(CoreConstraint(c.head, c.tail, c.rhs) for c in d.arcs),

@@ -17,7 +17,6 @@ from corematch import (
     ce_constraints,
     ce_vertices,
     constant_decrease,
-    core_constraints,
     core_violation,
     dual_value,
     enumerate_extremes,
@@ -32,17 +31,17 @@ from corematch import (
     lemaral_vector,
     marginal_vector,
     max_competitive_salaries,
+    market_core_system,
     max_valid_decrease,
     maxmin_table,
     min_competitive_salaries,
     nucleolus,
-    optimal_assignment,
     optimal_matching,
     shapley,
     side_optimal_allocations,
     surplus_matrix,
     tau_value,
-    build_tight_digraph,
+    tight_digraph_of_system,
 )
 from helpers import (
     brute_force_core_membership,
@@ -67,8 +66,8 @@ def test_criterion_1_matching_and_salary_bounds(bench):
 
 
 def test_criterion_2_extreme_enumeration(bench):
-    bm = balance(bench)
-    extremes = enumerate_extremes(bm)
+    system = market_core_system(bench)
+    extremes = enumerate_extremes(system)
     got = {
         p.salaries: (p.allocation.firm_payoffs, len(p.witnesses))
         for p in extremes.points
@@ -76,7 +75,7 @@ def test_criterion_2_extreme_enumeration(bench):
     assert got == GOLDEN_EXTREMES
     assert extremes.witness_count() == 28
 
-    rows = maxmin_table(bm)
+    rows = maxmin_table(system)
     golden = parse_golden()
     assert len(rows) == 48
     for (order, vec, ok), (workers, maximize, g_vec, g_ok) in zip(rows, golden):
@@ -89,7 +88,7 @@ def test_criterion_2_extreme_enumeration(bench):
 
 def test_criterion_3_tight_digraphs(bench):
     bm = balance(bench)
-    mu = optimal_matching(bench).matching
+    system = market_core_system(bench)
     expected_arcs = {
         (F(3), F(2), F(0)): {(0, 3), (3, 1), (3, 2)},
         (F(8), F(6), F(4)): {(1, 0), (2, 0), (3, 0), (3, 2)},
@@ -97,12 +96,12 @@ def test_criterion_3_tight_digraphs(bench):
         (F(7), F(6), F(4)): {(2, 0), (3, 0), (3, 1), (3, 2)},
     }
     for y, arcs in expected_arcs.items():
-        digraph = build_tight_digraph(bm, mu, y)
+        digraph = tight_digraph_of_system(system, y)
         assert set(digraph.arc_pairs()) == arcs, y
-        assert is_extreme(bm, mu, y)
+        assert is_extreme(system, y)
     for vertex in brute_force_vertices(bm):
-        assert is_minimum(bm, mu, vertex) == (vertex == (F(3), F(2), F(0)))
-        assert is_maximum(bm, mu, vertex) == (vertex == (F(8), F(6), F(4)))
+        assert is_minimum(system, vertex) == (vertex == (F(3), F(2), F(0)))
+        assert is_maximum(system, vertex) == (vertex == (F(8), F(6), F(4)))
     _report(3, "figure arc sets exact; minimum/maximum flags unique")
 
 
@@ -158,9 +157,7 @@ def test_criterion_6_dominant_diagonal_market(dd):
     rejected = Allocation((F(0), F(5)), (F(6), F(4), F(0)))
     assert core_violation(dd, rejected) == frozenset(("f1", "w3"))
     target = Allocation((F(5), F(4)), (F(1), F(4), F(1)))
-    bm = balance(dd)
-    mu = optimal_matching(dd).matching
-    assert is_extreme(bm, mu, target.worker_payoffs)
+    assert is_extreme(market_core_system(dd), target.worker_payoffs)
     flat = target.firm_payoffs + target.worker_payoffs
     orders = list(permutations(g.players))
     assert len(orders) == 120
@@ -176,11 +173,10 @@ def test_criterion_7_buyer_seller_market(buyers):
         (F(8), F(6), F(3)),
         (F(8), F(6), F(4)),
     }
-    mu = optimal_assignment(buyers)
     x = (F(3), F(2), F(0))
-    assert buyer_core_constraints(buyers, mu).contains(x)
-    assert not ce_constraints(buyers, mu).contains(x)
-    digraph = extended_tight_digraph(buyers, mu, (F(4), F(2), F(0)))
+    assert buyer_core_constraints(buyers).contains(x)
+    assert not ce_constraints(buyers).contains(x)
+    digraph = extended_tight_digraph(ce_constraints(buyers), (F(4), F(2), F(0)))
     assert set(digraph.arc_pairs()) == {(0, 3), (1, 2), (2, 1), (3, 2)}
     assert digraph.sources() == (0,)
     _report(7, "CE vertex set exact; (3,2,0) core-only; extended digraph arcs")
@@ -219,21 +215,21 @@ def test_criterion_9_randomized_oracle_suite():
     for m in markets:
         bm = balance(m)
         mu = optimal_matching(m).matching
-        system = core_constraints(bm, mu)
+        system = market_core_system(m)
         g = build_game(m)
 
         # extreme enumeration equals the independent vertex oracle
         vertices = brute_force_vertices(bm)
-        assert enumerate_extremes(bm).salary_vectors() == vertices
+        assert enumerate_extremes(system).salary_vectors() == vertices
 
         # extremality test agrees with vertex membership
         verts = sorted(vertices)
         for vertex in verts:
-            assert is_extreme(bm, mu, vertex)
+            assert is_extreme(system, vertex)
         for a, b in zip(verts, verts[1:]):
             mid = tuple((p + q) / 2 for p, q in zip(a, b))
             if mid not in vertices and system.contains(mid):
-                assert not is_extreme(bm, mu, mid)
+                assert not is_extreme(system, mid)
 
         # the nucleolus sits in core and kernel
         nuc = nucleolus(m)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -13,7 +14,12 @@ from hypothesis import strategies as st
 
 import corematch
 from corematch.cli import main, parse_market
-from corematch.rationals import format_decimal, format_rational, parse_rational
+from corematch.rationals import (
+    MAX_DIGITS,
+    format_decimal,
+    format_rational,
+    parse_rational,
+)
 
 BENCH = {
     "mode": "job-market",
@@ -69,6 +75,19 @@ def test_rational_formatting():
     assert format_decimal(F(-1, 3), 4) == "-0.3333"
     assert format_decimal(F(1, 2), 0) == "0"  # round half to even
     assert format_decimal(F(3, 2), 0) == "2"
+
+
+def test_the_digit_bound_holds_on_every_path():
+    big = "9" * (MAX_DIGITS + 1)
+    for text in (big, f"{big}/1", f"1/{big}", f"1e{MAX_DIGITS}", f"1e-{MAX_DIGITS}"):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+    assert parse_rational(f"1e{MAX_DIGITS - 1}") == 10 ** (MAX_DIGITS - 1)
+    assert format_rational(F(10**MAX_DIGITS - 1)) == "9" * MAX_DIGITS
+    with pytest.raises(corematch.CorematchError, match="too large to print"):
+        format_rational(F(1, 10**MAX_DIGITS))
+    # zero padding is not a digit of any integer printed
+    assert format_decimal(F(18), MAX_DIGITS + 9) == "18." + "0" * (MAX_DIGITS + 9)
 
 
 def test_parse_market_surplus(bench_file):
@@ -259,11 +278,9 @@ def _count_calls(monkeypatch, name, modules):
 
 
 def test_commands_build_one_core_system(bench_file, buyers_file, capsys, monkeypatch):
-    from corematch import core, kaneko, tight_digraph
+    from corematch import core
 
-    calls = _count_calls(
-        monkeypatch, "core_constraints", (core, kaneko, tight_digraph)
-    )
+    calls = _count_calls(monkeypatch, "core_constraints", (core,))
     for argv in (
         ["kaneko", "ce-check", buyers_file, "3,2,0"],
         ["kaneko", "digraph", buyers_file, "4,2,0"],
@@ -390,6 +407,51 @@ def test_malformed_values_are_domain_errors(tmp_path, capsys):
     binary.write_bytes(b'{"workers": ["\xff"]}')
     code, _, err = run(capsys, "match", str(binary))
     assert code == 1 and "UTF-8" in err
+
+
+def _huge_number_run(tmp_path, capsys, text, *argv):
+    """Run on a market file written as raw text, which can hold number
+    literals that ``json.dumps`` refuses; return the exit code and stderr
+    after checking that it took under a second and printed one error line."""
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, str(path))
+    assert time.perf_counter() - start < 1
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    return code, err
+
+
+@pytest.mark.parametrize("field", ["surplus", "capacity"])
+def test_an_over_long_integer_literal_exits_1(tmp_path, capsys, field):
+    big = "9" * (MAX_DIGITS + 1)
+    capacity, surplus = (big, "1") if field == "capacity" else ("1", big)
+    text = (
+        f'{{"firms": [{{"id": "f1", "capacity": {capacity}}}], '
+        f'"workers": ["w1"], "surplus": [[{surplus}]]}}'
+    )
+    code, err = _huge_number_run(tmp_path, capsys, text, "match")
+    assert code == 1 and f"{MAX_DIGITS + 1} digits exceeds the limit" in err
+
+
+def test_a_huge_exponent_exits_1(tmp_path, capsys):
+    text = (
+        '{"firms": [{"id": "f1", "capacity": 1}], "workers": ["w1"], '
+        '"surplus": [[1e10000000]]}'
+    )
+    code, err = _huge_number_run(tmp_path, capsys, text, "match")
+    assert code == 1 and "10000001 digits exceeds the limit" in err
+
+
+def test_an_unprintable_result_exits_1(tmp_path, capsys):
+    # each entry is accepted; their sum's denominator has 6,001 digits
+    p, q = 10**3000 + 1, 10**3000 + 3
+    text = (
+        '{"firms": [{"id": "f1", "capacity": 2}], "workers": ["w1", "w2"], '
+        f'"surplus": [["1/{p}", "1/{q}"]]}}'
+    )
+    code, err = _huge_number_run(tmp_path, capsys, text, "match")
+    assert code == 1 and "too large to print" in err
 
 
 JSON_SCALARS = (

@@ -20,7 +20,7 @@ from corematch import (
     firm_payoffs,
     is_competitive_equilibrium,
     is_core_allocation,
-    is_in_worker_core,
+    is_extreme,
     is_maximum,
     is_minimum,
     market_core_system,
@@ -30,6 +30,7 @@ from corematch import (
     optimal_matching,
     salary_bounds,
     surplus_matrix,
+    tight_digraph_of_system,
 )
 from corematch.matching import Matching
 from conftest import fr
@@ -43,8 +44,10 @@ from helpers import (
     marginal_max_salaries,
     markets,
     matching_value,
+    padded_optimum_system,
     random_balanced_market,
     table_core_violation,
+    tie_heavy_market,
     zero_heavy_market,
     random_market,
 )
@@ -53,7 +56,7 @@ from helpers import (
 def _system(m):
     bm = balance(m)
     mu = optimal_matching(bm.market).matching
-    return bm, mu, core_constraints(bm, mu)
+    return bm, mu, market_core_system(m)
 
 
 def test_bench_constraint_rows(bench):
@@ -94,10 +97,9 @@ def test_ones_constraints(ones):
 
 
 def test_non_optimal_reference_rejected(bench):
-    bm = balance(bench)
     bad = Matching((("f1", "w1"), ("f1", "w3"), ("f2", "w2")))
     with pytest.raises(NotOptimalError):
-        core_constraints(bm, bad)
+        core_constraints(bench, bad)
 
 
 def test_core_system_certifies_exactly_the_optimal_matchings():
@@ -106,7 +108,6 @@ def test_core_system_certifies_exactly_the_optimal_matchings():
     rejected = accepted = 0
     for t in range(48):
         m = random_balanced_market(rng, 2 + t % 6, max_num=rng.choice((2, 8)))
-        bm = balance(m)
         best = brute_force_optimum(m)
         for pairs in enumerate_all_matchings(m):
             if len(pairs) < m.n_workers:
@@ -114,29 +115,95 @@ def test_core_system_certifies_exactly_the_optimal_matchings():
             mu = Matching(tuple((m.firm_ids[i], m.worker_ids[j]) for i, j in pairs))
             if matching_value(m, pairs) < best:
                 with pytest.raises(NotOptimalError):
-                    core_constraints(bm, mu)
+                    core_constraints(m, mu)
                 rejected += 1
             else:
-                assert core_constraints(bm, mu).matching == mu
+                assert core_constraints(m, mu).matching == mu
                 accepted += 1
     assert rejected > 1000 and accepted > 48
 
 
 def test_worker_core_membership(bench):
     _, _, system = _system(bench)
-    assert is_in_worker_core(system, (F(3), F(2), F(0)))
-    assert not is_in_worker_core(system, (F(0), F(6), F(3)))
-    assert is_in_worker_core(system, (F(8), F(6), F(4)))
+    assert system.contains((F(3), F(2), F(0)))
+    assert not system.contains((F(0), F(6), F(3)))
+    assert system.contains((F(8), F(6), F(4)))
 
 
 def test_firm_payoffs(bench):
-    bm, mu, _ = _system(bench)
-    assert firm_payoffs(bm, mu, (F(3), F(2), F(0))).firm_payoffs == (F(9), F(4))
-    assert firm_payoffs(bm, mu, (F(8), F(6), F(4))).firm_payoffs == (F(0), F(0))
+    bm, _, system = _system(bench)
+    assert firm_payoffs(system, (F(3), F(2), F(0))).firm_payoffs == (F(9), F(4))
+    assert firm_payoffs(system, (F(8), F(6), F(4))).firm_payoffs == (F(0), F(0))
     # paying every box upper bound leaves all firms with zero
     uppers = tuple(bm.market.matrix[system_firm][j]
                    for j, system_firm in enumerate(_system(bench)[2].firm_of))
-    assert firm_payoffs(bm, mu, uppers).firm_payoffs == (F(0), F(0))
+    assert firm_payoffs(system, uppers).firm_payoffs == (F(0), F(0))
+
+
+# f2 has a spare seat; with capacities (1, 1) the seats fall short
+SPARE = Market(("f1", "f2"), (2, 2), ("w1", "w2", "w3"), fr([[8, 6, 3], [7, 6, 4]]))
+SHORT = Market(("f1", "f2"), (1, 1), ("w1", "w2", "w3"), fr([[8, 6, 3], [7, 6, 4]]))
+
+
+def _check_against_padded_optimum(m):
+    system = market_core_system(m)
+    oracle = padded_optimum_system(m)
+    assert system.firm_of == oracle.firm_of
+    assert system.rows == oracle.rows
+    assert system.least == oracle.least
+    assert system.matching == optimal_matching(m).matching
+
+
+@pytest.mark.parametrize("shape", ["spare seats", "short of seats"])
+def test_market_core_system_pads_as_the_padded_optimum(shape):
+    rng = Random(263 if shape == "spare seats" else 269)
+    for _ in range(250):
+        _check_against_padded_optimum(tie_heavy_market(rng, shape))
+
+
+@settings(max_examples=60, deadline=None)
+@given(markets())
+def test_market_core_system_pads_as_the_padded_optimum_generated(m):
+    _check_against_padded_optimum(m)
+
+
+@pytest.mark.parametrize(
+    "m, lo, hi, at_lo",
+    [
+        (SPARE, (7, 6, 3), (8, 6, 4), (1, 1)),
+        (SHORT, (1, 0, 0), (4, 2, 0), (7, 6)),
+    ],
+)
+def test_the_system_takes_the_matching_of_the_market(m, lo, hi, at_lo):
+    system = core_constraints(m, optimal_matching(m).matching)
+    oracle = padded_optimum_system(m)
+    lo, hi = tuple(map(F, lo)), tuple(map(F, hi))
+    assert (min_competitive_salaries(m), max_competitive_salaries(m)) == (lo, hi)
+    assert is_minimum(system, lo) and not is_minimum(system, hi)
+    assert is_maximum(system, hi) and not is_maximum(system, lo)
+    assert is_extreme(system, lo) and is_extreme(system, hi)
+    alloc = firm_payoffs(system, lo)
+    assert alloc == Allocation(tuple(map(F, at_lo)), lo)
+    assert sum(alloc.firm_payoffs + lo) == optimal_matching(m).value
+    padding = (F(0),) * (oracle.n_workers - m.n_workers)
+    for y in (lo, hi, tuple((a + b) / 2 for a, b in zip(lo, hi))):
+        assert is_extreme(system, y) == is_extreme(oracle, y + padding)
+        assert (
+            tight_digraph_of_system(system, y).arc_pairs()
+            == tight_digraph_of_system(oracle, y + padding).arc_pairs()
+        )
+
+
+def test_matchings_that_are_not_optimal_are_rejected():
+    for m, mu in (
+        (SPARE, Matching((("f1", "w1"), ("f1", "w2")))),
+        (SHORT, Matching((("f1", "w1"),))),
+    ):
+        with pytest.raises(NotOptimalError, match="a seat and a worker both free"):
+            core_constraints(m, mu)
+    worse = Matching((("f1", "w2"), ("f1", "w3"), ("f2", "w1")))
+    with pytest.raises(NotOptimalError, match="value 16 is not optimal"):
+        core_constraints(SPARE, worse)
 
 
 def test_core_allocation_checks(ones, dd):
@@ -234,12 +301,11 @@ def test_null_worker_and_single_pair_bounds():
 
 def _check_bounds_against_oracles(m):
     system = market_core_system(m)
-    bm, mu = system.bm, system.matching
     lowest, highest = salary_bounds(system)
-    assert bm.strip_worker_vector(lowest) == clone_value_min_salaries(m)
-    assert bm.strip_worker_vector(highest) == marginal_max_salaries(m)
-    assert is_minimum(bm, mu, lowest)
-    assert is_maximum(bm, mu, highest)
+    assert lowest[: m.n_workers] == clone_value_min_salaries(m)
+    assert highest[: m.n_workers] == marginal_max_salaries(m)
+    assert is_minimum(system, lowest)
+    assert is_maximum(system, highest)
 
 
 def test_salary_bounds_match_paper_oracles():
@@ -284,9 +350,9 @@ def test_constraint_view_matches_fraction_rows():
         m = random_market(rng, max_workers=6)
         gap = m.total_capacity - m.n_workers
         shapes[(gap > 0) - (gap < 0)] += 1
-        bm, mu, system = _system(m)
+        _, _, system = _system(m)
         rows = tuple((c.tail, c.head, c.rhs) for c in system.constraints)
-        assert rows == fraction_core_rows(bm, mu)
+        assert rows == fraction_core_rows(m)
 
 
 def test_bounds_of_a_spare_seat_market_pass_the_digraph_tests():
@@ -295,10 +361,10 @@ def test_bounds_of_a_spare_seat_market_pass_the_digraph_tests():
     assert bm.market.n_workers == 4
     lowest, highest = min_competitive_salaries(m), max_competitive_salaries(m)
     assert len(lowest) == len(highest) == 3
-    assert is_minimum(bm, mu, lowest)
-    assert is_maximum(bm, mu, highest)
-    assert is_in_worker_core(system, lowest) and is_in_worker_core(system, highest)
-    assert not is_in_worker_core(system, (F(9), F(0), F(0)))
+    assert is_minimum(system, lowest)
+    assert is_maximum(system, highest)
+    assert system.contains(lowest) and system.contains(highest)
+    assert not system.contains((F(9), F(0), F(0)))
 
 
 def test_core_equivalences_on_random_markets():
@@ -313,8 +379,8 @@ def test_core_equivalences_on_random_markets():
             y = tuple(
                 F(rng.randint(0, int(uppers[j] * 2) + 1), 2) for j in range(n)
             )
-            in_cw = is_in_worker_core(system, y)
-            alloc = firm_payoffs(bm, mu, y)
+            in_cw = system.contains(y)
+            alloc = firm_payoffs(system, y)
             assert in_cw == brute_force_core_membership(
                 g, alloc.firm_payoffs + alloc.worker_payoffs
             )

@@ -15,8 +15,8 @@ from corematch import (
     ce_prices,
     ce_vertices,
     extended_tight_digraph,
+    firm_payoffs,
     optimal_assignment,
-    seller_payoffs,
 )
 import helpers
 from corematch import core, kaneko
@@ -38,9 +38,14 @@ def test_optimal_assignment(buyers):
     assert mu.pairs == (("s1", "b1"), ("s1", "b2"), ("s2", "b3"))
 
 
+def test_optimal_assignment_pairs_only_the_market_agents():
+    # eight units for one buyer: balancing would add seven dummy buyers
+    b = BuyerMarket(("b1",), ("s1", "s2", "s3"), (3, 3, 2), fr([[2, 1, 0]]))
+    assert optimal_assignment(b).pairs == (("s1", "b1"),)
+
+
 def test_buyer_core_system(buyers):
-    mu = optimal_assignment(buyers)
-    system = buyer_core_constraints(buyers, mu)
+    system = buyer_core_constraints(buyers)
     rows = {(c.tail, c.head, c.rhs) for c in system.constraints}
     assert rows == {
         (0, 1, F(0)), (0, 2, F(0)), (0, 3, F(0)),
@@ -53,23 +58,21 @@ def test_buyer_core_system(buyers):
 
 
 def test_seller_payoffs(buyers):
-    mu = optimal_assignment(buyers)
-    alloc = seller_payoffs(buyers, mu, (F(3), F(2), F(0)))
+    alloc = firm_payoffs(buyer_core_constraints(buyers), (F(3), F(2), F(0)))
     assert alloc.firm_payoffs == (F(9), F(4))
 
 
 def test_ce_adds_same_seller_equality(buyers):
-    mu = optimal_assignment(buyers)
-    system = ce_constraints(buyers, mu)
+    system = ce_constraints(buyers)
     extra = {(c.tail, c.head, c.rhs) for c in system.constraints} - {
         (c.tail, c.head, c.rhs)
-        for c in buyer_core_constraints(buyers, mu).constraints
+        for c in buyer_core_constraints(buyers).constraints
     }
     # both directions between the two buyers of s1: x1 - x2 = 2
     assert extra == {(1, 2, F(-2)), (2, 1, F(2))}
     assert not system.contains((F(3), F(2), F(0)))  # prices 5 != 4
     assert system.contains((F(8), F(6), F(4)))
-    assert ce_prices(buyers, (F(8), F(6), F(4))) == (F(0), F(0))
+    assert ce_prices(system, (F(8), F(6), F(4))) == (F(0), F(0))
 
 
 def test_ce_vertices_golden(buyers):
@@ -103,7 +106,7 @@ def test_ce_vertices_fold_pinned_buyers():
     # one buyer against 8 units: the 7 dummy buyers are pinned at 0, so the
     # scan runs over the one real buyer, not over 8
     b = BuyerMarket(("b1",), ("s1", "s2", "s3"), (3, 3, 2), fr([[2, 1, 0]]))
-    assert b.balanced().market.n_workers == 8
+    assert balance(b.as_job_market()).market.n_workers == 8
     got = [(v.buyer_payoffs, v.prices) for v in ce_vertices(b)]
     assert got == [((F(2),), (F(0), F(0), F(0)))]
 
@@ -112,9 +115,10 @@ def test_ce_constraint_view_matches_fraction_rows():
     for shape in BUYER_SHAPES:
         rng = Random(BUYER_SHAPES.index(shape) + 223)
         for _ in range(15):
-            system = ce_constraints(random_buyer_market(rng, shape))
+            b = random_buyer_market(rng, shape)
+            system = ce_constraints(b)
             rows = tuple((c.tail, c.head, c.rhs) for c in system.constraints)
-            assert rows == fraction_core_rows(system.bm, system.matching, ce=True)
+            assert rows == fraction_core_rows(b.as_job_market(), ce=True)
 
 
 def test_ce_vertices_limit_names_buyers():
@@ -125,15 +129,13 @@ def test_ce_vertices_limit_names_buyers():
 
 
 def test_extended_tight_digraph_at_minimum(buyers):
-    mu = optimal_assignment(buyers)
-    d = extended_tight_digraph(buyers, mu, (F(4), F(2), F(0)))
+    d = extended_tight_digraph(ce_constraints(buyers), (F(4), F(2), F(0)))
     assert set(d.arc_pairs()) == {(0, 3), (1, 2), (2, 1), (3, 2)}
     assert d.sources() == (0,)
 
 
 def test_extended_tight_digraph_at_maximum(buyers):
-    mu = optimal_assignment(buyers)
-    d = extended_tight_digraph(buyers, mu, (F(8), F(6), F(4)))
+    d = extended_tight_digraph(ce_constraints(buyers), (F(8), F(6), F(4)))
     assert d.sinks() == (0,)
     # every buyer reaches the ground node along directed arcs
     reversed_arcs = {(h, t) for t, h in d.arc_pairs()}
@@ -149,16 +151,15 @@ def test_extended_tight_digraph_at_maximum(buyers):
 
 
 def test_all_ce_vertices_have_connected_base_graph(buyers):
-    mu = optimal_assignment(buyers)
+    system = ce_constraints(buyers)
     for v in ce_vertices(buyers):
-        d = extended_tight_digraph(buyers, mu, v.buyer_payoffs)
+        d = extended_tight_digraph(system, v.buyer_payoffs)
         assert d.base_graph_connected()
 
 
 def test_digraph_rejects_non_ce_vectors(buyers):
-    mu = optimal_assignment(buyers)
     with pytest.raises(NotInCoreError):
-        extended_tight_digraph(buyers, mu, (F(3), F(2), F(0)))
+        extended_tight_digraph(ce_constraints(buyers), (F(3), F(2), F(0)))
 
 
 def test_ce_equals_core_condition(buyers):
@@ -197,20 +198,19 @@ def test_ce_subset_of_core_on_random_markets():
         )
         core_sys = buyer_core_constraints(b)
         for v in ce_vertices(b):
-            full = core_sys.bm.extend_worker_vector(v.buyer_payoffs)
+            full = core_sys.node_vector(v.buyer_payoffs)
             assert core_sys.contains(full)
         # the swap condition is vacuous with a single seller, where the core
         # can still exceed the CE set; the implication needs two sellers
         if len(b.seller_ids) >= 2 and ce_equals_core(b):
             assert {v.buyer_payoffs for v in ce_vertices(b)} == {
-                core_sys.bm.strip_worker_vector(x)
+                x[: len(b.buyer_ids)]
                 for x in vertices_of_system(core_sys)
             }
 
 
 def test_same_seller_blocks_share_one_price(buyers):
     mu = optimal_assignment(buyers)
-    system = ce_constraints(buyers, mu)
     for v in ce_vertices(buyers):
         x = v.buyer_payoffs
         for j, seller in enumerate(buyers.seller_ids):
@@ -259,15 +259,16 @@ def test_ce_vertices_solve_the_matching_once(monkeypatch):
         calls.clear()
         vertices = ce_vertices(b)
         assert len(calls) == 1
+        system = ce_constraints(b)
         for v in vertices:
-            assert v.prices == ce_prices(b, v.buyer_payoffs)
+            assert v.prices == ce_prices(system, v.buyer_payoffs)
 
 
 def ce_oracle(b: BuyerMarket) -> list:
     """The CE vertices by brute-force vertex enumeration, original buyers."""
     system = ce_constraints(b)
     return sorted(
-        system.bm.strip_worker_vector(x) for x in vertices_of_system(system)
+        x[: len(b.buyer_ids)] for x in vertices_of_system(system)
     )
 
 
@@ -276,7 +277,7 @@ def test_ce_vertices_match_the_vertex_oracle(shape):
     rng = Random(BUYER_SHAPES.index(shape) + 139)
     for _ in range(40):
         b = random_buyer_market(rng, shape)
-        bm = b.balanced()
+        bm = balance(b.as_job_market())
         assert (bm.market.n_workers > len(b.buyer_ids)) == (shape == "spare units")
         assert (bm.dummy_firm_id is not None) == (shape == "short of units")
         assert [v.buyer_payoffs for v in ce_vertices(b)] == ce_oracle(b)

@@ -8,8 +8,8 @@ from corematch import (
     ExtendedOrder,
     LimitExceededError,
     balance,
-    core_constraints,
     enumerate_extremes,
+    market_core_system,
     maxmin_table,
     optimal_matching,
     witnesses_for,
@@ -101,11 +101,11 @@ def parse_golden():
 
 def _setup(m):
     bm = balance(m)
-    return bm, optimal_matching(bm.market).matching
+    return bm, optimal_matching(bm.market).matching, market_core_system(m)
 
 
 def test_maxmin_worked_examples(bench):
-    bm, mu = _setup(bench)
+    bm, mu, _ = _setup(bench)
     cases = [
         ((("w2", "w3", "w1"), (True, True, False)), (F(7), F(6), F(4))),
         ((("w1", "w2", "w3"), (False, True, False)), (F(0), F(6), F(3))),
@@ -116,8 +116,8 @@ def test_maxmin_worked_examples(bench):
 
 
 def test_full_order_table_matches_golden(bench):
-    bm, _ = _setup(bench)
-    rows = maxmin_table(bm)
+    _, _, system = _setup(bench)
+    rows = maxmin_table(system)
     golden = parse_golden()
     assert len(rows) == len(golden) == 48
     for (order, vec, ok), (workers, maximize, g_vec, g_ok) in zip(rows, golden):
@@ -129,16 +129,15 @@ def test_full_order_table_matches_golden(bench):
 
 
 def test_table_agrees_with_single_order_evaluation(bench):
-    bm, mu = _setup(bench)
-    system = core_constraints(bm, mu)
-    for order, vec, ok in maxmin_table(bm):
+    bm, mu, system = _setup(bench)
+    for order, vec, ok in maxmin_table(system):
         assert maxmin_vector(bm, mu, order) == vec
         assert system.contains(vec) == ok
 
 
 def test_enumerate_extremes_golden(bench):
-    bm, _ = _setup(bench)
-    extremes = enumerate_extremes(bm)
+    _, _, system = _setup(bench)
+    extremes = enumerate_extremes(system)
     got = {
         p.salaries: (p.allocation.firm_payoffs, len(p.witnesses))
         for p in extremes.points
@@ -148,8 +147,8 @@ def test_enumerate_extremes_golden(bench):
 
 
 def test_enumerate_extremes_on_ones(ones):
-    bm, _ = _setup(ones)
-    extremes = enumerate_extremes(bm)
+    _, _, system = _setup(ones)
+    extremes = enumerate_extremes(system)
     assert len(extremes.points) == 1
     (point,) = extremes.points
     assert point.salaries == (F(1), F(1), F(1), F(0))
@@ -159,60 +158,59 @@ def test_enumerate_extremes_on_ones(ones):
 
 def test_enumerate_extremes_zero_matrix():
     m = Market(("f1",), (2,), ("w1", "w2"), fr([[0, 0]]))
-    bm, _ = _setup(m)
-    extremes = enumerate_extremes(bm)
+    _, _, system = _setup(m)
+    extremes = enumerate_extremes(system)
     assert extremes.salary_vectors() == {(F(0), F(0))}
 
 
 def test_brute_force_vertices(bench, ones):
-    bm, _ = _setup(bench)
+    bm, _, _ = _setup(bench)
     assert brute_force_vertices(bm) == frozenset(GOLDEN_EXTREMES)
-    bm1, _ = _setup(ones)
+    bm1, _, _ = _setup(ones)
     assert brute_force_vertices(bm1) == {(F(1), F(1), F(1), F(0))}
     single = Market(("f1",), (1,), ("w1",), fr([[5]]))
-    bms, _ = _setup(single)
+    bms, _, _ = _setup(single)
     assert brute_force_vertices(bms) == {(F(0),), (F(5),)}
 
 
 def test_witnesses(bench):
-    bm, _ = _setup(bench)
-    w = witnesses_for(bm, (F(8), F(5), F(3)))
+    _, _, system = _setup(bench)
+    w = witnesses_for(system, (F(8), F(5), F(3)))
     assert [(o.workers, o.maximize) for o in w] == [
         (("w1", "w3", "w2"), (True, False, False))
     ]
-    w = witnesses_for(bm, (F(3), F(2), F(0)))
+    w = witnesses_for(system, (F(3), F(2), F(0)))
     assert {(o.workers, o.maximize) for o in w} == {
         (("w3", "w1", "w2"), (False, False, False)),
         (("w3", "w2", "w1"), (False, False, False)),
     }
-    w = witnesses_for(bm, (F(8), F(6), F(4)))
+    w = witnesses_for(system, (F(8), F(6), F(4)))
     assert len(w) == 9
 
 
 def test_witnesses_warn_on_non_extreme(bench):
-    bm, _ = _setup(bench)
+    _, _, system = _setup(bench)
     with pytest.warns(UserWarning):
-        assert witnesses_for(bm, (F(4), F(3), F(1))) == ()
+        assert witnesses_for(system, (F(4), F(3), F(1))) == ()
     with pytest.warns(UserWarning):
-        assert witnesses_for(bm, (F(100), F(0), F(0))) == ()
+        assert witnesses_for(system, (F(100), F(0), F(0))) == ()
 
 
 def test_oracle_equivalence_on_random_markets():
     rng = Random(71)
     for _ in range(30):
         m = random_balanced_market(rng, n_workers=rng.randint(2, 4))
-        bm, _ = _setup(m)
-        assert enumerate_extremes(bm).salary_vectors() == brute_force_vertices(bm)
+        bm, _, system = _setup(m)
+        assert enumerate_extremes(system).salary_vectors() == brute_force_vertices(bm)
 
 
 def test_in_core_maxmin_vectors_are_extreme():
     rng = Random(73)
     for _ in range(15):
         m = random_balanced_market(rng, n_workers=rng.randint(2, 4))
-        bm, mu = _setup(m)
+        bm, _, system = _setup(m)
         vertices = brute_force_vertices(bm)
-        system = core_constraints(bm, mu)
-        for _, vec, ok in maxmin_table(bm):
+        for _, vec, ok in maxmin_table(system):
             assert ok == system.contains(vec)
             if ok:
                 assert vec in vertices
@@ -223,9 +221,8 @@ def test_all_min_order_is_coordinatewise_floor_when_in_core():
     hits = 0
     for _ in range(40):
         m = random_balanced_market(rng, n_workers=rng.randint(2, 4))
-        bm, mu = _setup(m)
+        bm, mu, system = _setup(m)
         n = bm.market.n_workers
-        system = core_constraints(bm, mu)
         workers = bm.market.worker_ids
         order = ExtendedOrder(workers, (False,) * n)
         vec = maxmin_vector(bm, mu, order)
@@ -241,7 +238,7 @@ def test_all_min_order_is_coordinatewise_floor_when_in_core():
 
 
 def test_same_firm_adjacent_swap_invariance(bench):
-    bm, mu = _setup(bench)
+    bm, mu, _ = _setup(bench)
     # w1 and w2 share a firm: swapping them in adjacent positions with the
     # same flags yields the same vector
     rng = Random(83)
@@ -261,9 +258,9 @@ def test_enumeration_limits():
     n = 9
     m = Market(("f1",), (n,), tuple(f"w{k}" for k in range(n)),
                (tuple(F(0) for _ in range(n)),))
-    bm, _ = _setup(m)
+    bm, _, system = _setup(m)
     with pytest.raises(LimitExceededError):
-        enumerate_extremes(bm)
+        enumerate_extremes(system)
     with pytest.raises(LimitExceededError):
         brute_force_vertices(bm)
 
@@ -275,11 +272,10 @@ def test_row_of_minus_two_to_the_62_is_a_row():
         for low in (0, 1, 3, 9):
             m = Market(("f1", "f2"), (1, 1), ("w1", "w2"),
                        fr([[big + 10 + shift, 10 + shift], [low, big - 7]]))
-            bm, mu = _setup(m)
-            extremes = enumerate_extremes(bm).salary_vectors()
+            bm, _, system = _setup(m)
+            extremes = enumerate_extremes(system).salary_vectors()
             assert extremes == brute_force_vertices(bm)
-            system = core_constraints(bm, mu)
-            for _, vec, ok in maxmin_table(bm):
+            for _, vec, ok in maxmin_table(system):
                 if ok:
                     assert system.contains(vec)
             if shift == low == 0:
@@ -288,7 +284,7 @@ def test_row_of_minus_two_to_the_62_is_a_row():
 
 
 def test_witnesses_reject_a_vector_of_the_wrong_length(bench):
-    bm, _ = _setup(bench)
+    _, _, system = _setup(bench)
     for y in ((F(1),), (F(1), F(2)), (F(0),) * 4):
         with pytest.raises(CorematchError, match="expected 3 salaries"):
-            witnesses_for(bm, y)
+            witnesses_for(system, y)

@@ -21,9 +21,9 @@ from corematch import (
     is_in_kernel,
     kernel_core_test,
     marginal_vector,
+    market_core_system,
     max_surplus,
     nucleolus,
-    optimal_matching,
     shapley,
     side_optimal_allocations,
     tau_value,
@@ -105,14 +105,14 @@ def test_kernel_core_agrees_with_full_kernel_on_core_points():
         m = random_balanced_market(rng, n_workers=rng.randint(2, 4))
         g = build_game(m)
         bm = balance(m)
-        mu = optimal_matching(bm.market).matching
+        system = market_core_system(m)
         vertices = sorted(brute_force_vertices(bm))
         samples = vertices[:3]
         if len(vertices) >= 2:
             mid = tuple((a + b) / 2 for a, b in zip(vertices[0], vertices[-1]))
             samples.append(mid)
         for y in samples:
-            alloc = firm_payoffs(bm, mu, y)
+            alloc = firm_payoffs(system, y)
             assert kernel_core_test(m, alloc) == is_in_kernel(g, alloc)
 
 
@@ -256,14 +256,10 @@ def test_dominant_diagonal_needs_balance(ones):
 
 
 def test_dominant_diagonal_iff_zero_and_full_salary_in_core():
-    from corematch import core_constraints
-
     rng = Random(107)
     for _ in range(25):
         m = random_balanced_market(rng, n_workers=rng.randint(2, 4))
-        bm = balance(m)
-        mu = optimal_matching(m).matching
-        system = core_constraints(bm, mu)
+        system = market_core_system(m)
         zeros = (F(0),) * m.n_workers
         full = tuple(m.matrix[system.firm_of[j]][j] for j in range(m.n_workers))
         both_in = system.contains(zeros) and system.contains(full)
@@ -289,10 +285,8 @@ def test_side_optimal_requires_dominant_diagonal(bench):
 
 
 def test_extreme_allocation_not_a_marginal_vector(dd):
-    bm = balance(dd)
-    mu = optimal_matching(dd).matching
     target = Allocation((F(5), F(4)), (F(1), F(4), F(1)))
-    assert is_extreme(bm, mu, target.worker_payoffs)
+    assert is_extreme(market_core_system(dd), target.worker_payoffs)
     g = build_game(dd)
     flat = target.firm_payoffs + target.worker_payoffs
     count = 0

@@ -8,8 +8,6 @@ from corematch import (
     NotInCoreError,
     ExtendedOrder,
     balance,
-    build_tight_digraph,
-    core_constraints,
     is_extreme,
     is_maximum,
     is_minimum,
@@ -18,6 +16,7 @@ from corematch import (
     min_competitive_salaries,
     optimal_matching,
     salary_bounds,
+    tight_digraph_of_system,
     to_dot,
 )
 from corematch.tight_digraph import TightDigraph
@@ -33,13 +32,11 @@ from helpers import (
 
 
 def _setup(m):
-    bm = balance(m)
-    mu = optimal_matching(bm.market).matching
-    return bm, mu
+    return balance(m), market_core_system(m)
 
 
 def test_bench_arc_sets(bench):
-    bm, mu = _setup(bench)
+    _, system = _setup(bench)
     cases = {
         (F(3), F(2), F(0)): {(0, 3), (3, 1), (3, 2)},
         (F(8), F(6), F(4)): {(1, 0), (2, 0), (3, 0), (3, 2)},
@@ -47,42 +44,42 @@ def test_bench_arc_sets(bench):
         (F(7), F(6), F(4)): {(2, 0), (3, 0), (3, 1), (3, 2)},
     }
     for y, arcs in cases.items():
-        assert set(build_tight_digraph(bm, mu, y).arc_pairs()) == arcs, y
+        assert set(tight_digraph_of_system(system, y).arc_pairs()) == arcs, y
 
 
 def test_rejects_vectors_outside_the_core(bench):
-    bm, mu = _setup(bench)
+    _, system = _setup(bench)
     with pytest.raises(NotInCoreError):
-        build_tight_digraph(bm, mu, (F(0), F(6), F(3)))
+        tight_digraph_of_system(system, (F(0), F(6), F(3)))
 
 
 def test_extremality(bench):
-    bm, mu = _setup(bench)
-    assert is_extreme(bm, mu, (F(3), F(3), F(0)))
-    assert not is_extreme(bm, mu, (F(4), F(3), F(1)))
+    bm, system = _setup(bench)
+    assert is_extreme(system, (F(3), F(3), F(0)))
+    assert not is_extreme(system, (F(4), F(3), F(1)))
     for vertex in brute_force_vertices(bm):
-        assert is_extreme(bm, mu, vertex)
+        assert is_extreme(system, vertex)
 
 
 def test_minimum_and_maximum_flags(bench):
-    bm, mu = _setup(bench)
-    assert is_minimum(bm, mu, (F(3), F(2), F(0)))
-    assert not is_minimum(bm, mu, (F(3), F(3), F(0)))  # worker 2 is a source
-    assert not is_minimum(bm, mu, (F(8), F(6), F(4)))
-    assert is_maximum(bm, mu, (F(8), F(6), F(4)))
-    assert not is_maximum(bm, mu, (F(7), F(6), F(4)))  # worker 1 is a sink
-    assert not is_maximum(bm, mu, (F(3), F(2), F(0)))
+    _, system = _setup(bench)
+    assert is_minimum(system, (F(3), F(2), F(0)))
+    assert not is_minimum(system, (F(3), F(3), F(0)))  # worker 2 is a source
+    assert not is_minimum(system, (F(8), F(6), F(4)))
+    assert is_maximum(system, (F(8), F(6), F(4)))
+    assert not is_maximum(system, (F(7), F(6), F(4)))  # worker 1 is a sink
+    assert not is_maximum(system, (F(3), F(2), F(0)))
 
 
 def test_dot_output(bench):
-    bm, mu = _setup(bench)
-    dot = to_dot(build_tight_digraph(bm, mu, (F(3), F(2), F(0))))
+    _, system = _setup(bench)
+    dot = to_dot(tight_digraph_of_system(system, (F(3), F(2), F(0))))
     assert dot.startswith("digraph tight {\n")
     assert '  0 [label="0"];' in dot
     for arc in ("0 -> 3;", "3 -> 1;", "3 -> 2;"):
         assert f"  {arc}" in dot
     assert dot.endswith("}\n")
-    dot_max = to_dot(build_tight_digraph(bm, mu, (F(8), F(6), F(4))))
+    dot_max = to_dot(tight_digraph_of_system(system, (F(8), F(6), F(4))))
     for arc in ("1 -> 0;", "2 -> 0;", "3 -> 0;", "3 -> 2;"):
         assert f"  {arc}" in dot_max
 
@@ -96,34 +93,34 @@ def test_extreme_iff_vertex_on_random_markets():
     rng = Random(59)
     for _ in range(20):
         m = random_balanced_market(rng, n_workers=rng.randint(2, 4))
-        bm, mu = _setup(m)
-        system = core_constraints(bm, mu)
+        bm, system = _setup(m)
         vertices = brute_force_vertices(bm)
         for vertex in vertices:
-            assert is_extreme(bm, mu, vertex)
+            assert is_extreme(system, vertex)
         # non-vertex feasible points: midpoints of distinct vertices
         verts = sorted(vertices)
         for k in range(len(verts) - 1):
             mid = tuple((a + b) / 2 for a, b in zip(verts[k], verts[k + 1]))
             if system.contains(mid) and mid not in vertices:
-                assert not is_extreme(bm, mu, mid)
+                assert not is_extreme(system, mid)
 
 
 def test_min_max_match_salary_bounds_on_random_markets():
     rng = Random(61)
     for _ in range(20):
         m = random_balanced_market(rng, n_workers=rng.randint(2, 4))
-        bm, mu = _setup(m)
+        bm, system = _setup(m)
         lo = min_competitive_salaries(m)
         hi = max_competitive_salaries(m)
         for vertex in brute_force_vertices(bm):
-            assert is_minimum(bm, mu, vertex) == (vertex == lo)
-            assert is_maximum(bm, mu, vertex) == (vertex == hi)
+            assert is_minimum(system, vertex) == (vertex == lo)
+            assert is_maximum(system, vertex) == (vertex == hi)
 
 
 def _check_flags_against_reachability(m, rng):
     system = market_core_system(m)
-    bm, mu = system.bm, system.matching
+    bm = balance(m)
+    mu = optimal_matching(bm.market).matching
     # the bounds, in-core max-min vectors of random extended orders (each a
     # vertex) and the midpoints between them
     lo, hi = salary_bounds(system)
@@ -138,11 +135,11 @@ def _check_flags_against_reachability(m, rng):
     points = sorted(points)
     points += [tuple((p + q) / 2 for p, q in zip(a, b)) for a, b in zip(points, points[1:])]
     for y in points:
-        assert is_minimum(bm, mu, y) == digraph_is_minimum(bm, mu, y), y
-        assert is_maximum(bm, mu, y) == digraph_is_maximum(bm, mu, y), y
+        assert is_minimum(system, y) == digraph_is_minimum(system, y), y
+        assert is_maximum(system, y) == digraph_is_maximum(system, y), y
     for flag in (is_minimum, is_maximum):
         with pytest.raises(NotInCoreError):
-            flag(bm, mu, (hi[0] + 1,) + hi[1:])
+            flag(system, (hi[0] + 1,) + hi[1:])
 
 
 def test_min_max_flags_equal_the_reachability_oracle():
@@ -173,11 +170,11 @@ def test_unique_matching_gives_acyclic_digraphs():
         m = random_balanced_market(rng, n_workers=rng.randint(2, 4))
         if len(all_optimal_matchings(m)) != 1:
             continue
-        bm, mu = _setup(m)
+        bm, system = _setup(m)
         lo = min_competitive_salaries(m)
         hi = max_competitive_salaries(m)
         for vertex in brute_force_vertices(bm):
-            d = build_tight_digraph(bm, mu, vertex)
+            d = tight_digraph_of_system(system, vertex)
             assert _acyclic(d)
             source0 = 0 in d.sources()
             sink0 = 0 in d.sinks()
@@ -192,9 +189,9 @@ def test_unique_matching_gives_acyclic_digraphs():
 
 
 def test_benchmark_vertices_have_source_xor_sink(bench):
-    bm, mu = _setup(bench)
+    bm, system = _setup(bench)
     for vertex in brute_force_vertices(bm):
-        d = build_tight_digraph(bm, mu, vertex)
+        d = tight_digraph_of_system(system, vertex)
         assert (0 in d.sources()) != (0 in d.sinks())
 
 
